@@ -24,7 +24,6 @@ from .latticeenum import (
     OracleReport,
     enumerate_lengths,
     lattice_spec,
-    native_available,
     oracle_verify,
     recover_coordinator,
 )
@@ -90,5 +89,4 @@ __all__ = [
     "enumerate_lengths",
     "recover_coordinator",
     "oracle_verify",
-    "native_available",
 ]

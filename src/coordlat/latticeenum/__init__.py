@@ -6,13 +6,13 @@ the generators has length exactly k; those counts recover the
 coordinator polynomial of the lattice, which cross-checks the closed
 forms and handles the exceptional lattices that have none here.
 
-Two interchangeable backends: a compiled kernel packing small vectors
-into 64-bit keys, and a pure-Python reference.  Both produce identical
-counts; `backend="auto"` picks the kernel whenever its packing range
-can hold the requested depth.
+One breadth-first kernel does the counting.  It keys each point by a
+single Python int, so a generator step is one integer addition, and it
+keeps only the last two levels of the walk instead of the whole ball.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -25,12 +25,6 @@ from ..coordinator import (
     coordinator,
 )
 from ..exactpoly import Polynomial, binom, poly, series_expand
-from . import _pybfs
-
-try:
-    from . import _bfs as _native
-except ImportError:
-    _native = None
 
 __all__ = [
     "LatticeSpec",
@@ -43,19 +37,15 @@ __all__ = [
     "enumerate_lengths",
     "recover_coordinator",
     "oracle_verify",
-    "native_available",
     "format_generator_table",
     "parse_generator_table",
     "save_generator_table",
     "load_generator_table",
     "census_to_csv",
-    "save_census",
 ]
 
-# a packed 8-bit field biased by 128 stays clear of its neighbours as
-# long as every coordinate reached by the walk is within this bound
-_PACK_LIMIT = 120
-_PACK_DIM = 8
+# a set slot holds a cached hash and a pointer next to the int it keys
+_SET_SLOT_BYTES = 16
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -306,18 +296,6 @@ def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSp
     raise ValueError(f"no generator table for type {tag}")
 
 
-def native_available() -> bool:
-    return _native is not None
-
-
-def _native_ok(spec: LatticeSpec, K: int) -> bool:
-    return (
-        _native is not None
-        and spec.ambient_dim <= _PACK_DIM
-        and K * spec.max_component <= _PACK_LIMIT
-    )
-
-
 def enumerate_lengths(
     spec: LatticeSpec,
     K: int,
@@ -326,28 +304,36 @@ def enumerate_lengths(
 ) -> LengthCensus:
     """Census of word lengths 0..K for the given generator set.
 
-    backend: "auto" picks the compiled kernel when it applies, "native"
-    insists on it, "python" forces the reference implementation.
-    Raises MemoryBudgetExceeded when the budget runs out before K.
+    Each point is keyed by one int whose balanced base-B digits are its
+    coordinates, B = 2*K*max|component| + 1.  No coordinate within K
+    steps of the origin leaves [-(B-1)/2, (B-1)/2], so distinct points
+    get distinct keys and a generator step is one integer addition.
+    The generators are symmetric, so a level-k point only neighbours
+    levels k-1, k and k+1: level k is the neighbourhood of level k-1
+    minus levels k-1 and k-2, and no older level is kept.
+
+    backend is kept only for compatibility with older callers: "auto"
+    and "python" both run this kernel, anything else is a ValueError.
+    Raises MemoryBudgetExceeded when the two kept levels outgrow the
+    budget before K.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if backend not in ("auto", "native", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "native":
-        if _native is None:
-            raise ValueError("compiled backend is not installed")
-        if not _native_ok(spec, K):
-            raise ValueError(
-                "compiled backend cannot pack this run: needs "
-                f"ambient_dim <= {_PACK_DIM} and K*max|component| <= {_PACK_LIMIT}"
-            )
+    if backend not in ("auto", "python"):
+        raise ValueError(
+            f"unknown backend {backend!r}; 'auto' and 'python' both run the one census kernel"
+        )
+    B = 2 * K * spec.max_component + 1
+    deltas = [sum(c * B**i for i, c in enumerate(g)) for g in spec.generators]
+    key_bytes = sys.getsizeof(B**spec.ambient_dim) + _SET_SLOT_BYTES
     budget = None if memory_budget_mib is None else memory_budget_mib * (1 << 20)
-    use_native = backend == "native" or (backend == "auto" and _native_ok(spec, K))
-    impl = _native if use_native else _pybfs
-    counts, completed = impl.bfs_census(spec.generators, spec.ambient_dim, K, budget)
-    if completed < K:
-        raise MemoryBudgetExceeded(completed, tuple(counts))
+    prev, cur = set(), {0}
+    counts = [1]
+    for level in range(1, K + 1):
+        prev, cur = cur, {v + d for v in cur for d in deltas} - cur - prev
+        counts.append(len(cur))
+        if budget is not None and level < K and (len(prev) + len(cur)) * key_bytes > budget:
+            raise MemoryBudgetExceeded(level, tuple(counts))
     return LengthCensus(spec, K, tuple(counts))
 
 
@@ -383,7 +369,6 @@ def recover_coordinator(census: LengthCensus) -> Polynomial:
 def oracle_verify(
     ltype: LatticeType,
     K: int,
-    backend: str = "auto",
     allow_expensive: bool = False,
     memory_budget_mib: Optional[int] = None,
 ) -> OracleReport:
@@ -395,7 +380,7 @@ def oracle_verify(
     types the recovered polynomial itself is the result.
     """
     spec = lattice_spec(ltype, allow_expensive)
-    census = enumerate_lengths(spec, K, backend, memory_budget_mib)
+    census = enumerate_lengths(spec, K, memory_budget_mib=memory_budget_mib)
     if ltype.tag in CLOSED_FORM_TAGS:
         h = coordinator(ltype).poly
         expected = series_expand(h, ltype.rank, K)
@@ -462,7 +447,3 @@ def census_to_csv(census: LengthCensus) -> str:
     for k, s in enumerate(census.counts):
         lines.append(f"{k},{s}")
     return "\n".join(lines) + "\n"
-
-
-def save_census(census: LengthCensus, path) -> None:
-    Path(path).write_text(census_to_csv(census))

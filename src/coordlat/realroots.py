@@ -206,9 +206,9 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     """Number of distinct real roots of p, on the whole line or in an interval.
 
-    Interval endpoints that happen to be roots are nudged outward in
-    steps of 1/(1 + max coefficient magnitude) until they are not, so
-    the count covers the closed interval.
+    On an interval [a, b] the chain counts the roots in (a, b] as
+    V(a) - V(b), zeros of the chain dropped, even when a or b is a root;
+    an exact check of p(a) = 0 adds the left endpoint.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -218,13 +218,9 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     chain = _signed_chain(sf)
     if interval is None:
         return _var_at_infinity(chain, False) - _var_at_infinity(chain, True)
-    step = Fraction(1, 1 + max(abs(v) for v in sf))
     lo, hi = interval.lo, interval.hi
-    while _sign_at(sf, lo.numerator, lo.denominator) == 0:
-        lo -= step
-    while _sign_at(sf, hi.numerator, hi.denominator) == 0:
-        hi += step
-    return _var_at(chain, lo) - _var_at(chain, hi)
+    at_lo = _sign_at(sf, lo.numerator, lo.denominator) == 0
+    return _var_at(chain, lo) - _var_at(chain, hi) + at_lo
 
 
 def is_real_rooted(p: Polynomial, isolate: bool = False) -> RootReport:

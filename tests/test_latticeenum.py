@@ -18,14 +18,11 @@ from coordlat.latticeenum import (
     format_generator_table,
     lattice_spec,
     load_generator_table,
-    native_available,
     oracle_verify,
     parse_generator_table,
     recover_coordinator,
     save_generator_table,
 )
-
-BACKENDS = ["python"] + (["native"] if native_available() else [])
 
 
 def lt(tag, n=None):
@@ -81,13 +78,11 @@ def test_census_validation():
         LengthCensus(spec, 1, (1, 3))  # odd level
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_known_small_censuses(backend):
-    run = lambda t, K: enumerate_lengths(lattice_spec(t), K, backend).counts
+def test_known_small_censuses():
+    run = lambda t, K: enumerate_lengths(lattice_spec(t), K).counts
     assert run(lt("A", 1), 4) == (1, 2, 2, 2, 2)
     assert run(lt("A", 2), 3) == (1, 6, 12, 18)
-    # derived independently: series of the closed form, and both
-    # backends agree on the raw walk
+    # derived independently: series of the closed form
     assert run(lt("B", 2), 4) == (1, 8, 16, 24, 32)
     assert run(lt("C", 2), 4) == (1, 8, 16, 24, 32)
     assert run(lt("G2"), 4) == (1, 12, 30, 48, 66)
@@ -104,68 +99,81 @@ def test_census_matches_closed_form_series(tag, n):
     assert census.counts == series_expand(h, n, 6)
 
 
-@pytest.mark.skipif(not native_available(), reason="compiled kernel not built")
-def test_backends_agree():
+@pytest.mark.parametrize("tag,n", [("A", 7), ("B", 8), ("C", 8), ("D", 8)])
+def test_eight_coordinate_tables_match_closed_form(tag, n):
+    t = lt(tag, n)
+    spec = lattice_spec(t)
+    assert spec.ambient_dim == 8
+    census = enumerate_lengths(spec, 3)
+    assert census.counts == series_expand(coordinator(t).poly, n, 3)
+
+
+def test_e_series_censuses():
+    # Conway & Sloane, "Low-dimensional lattices VII: coordination
+    # sequences", Proc. R. Soc. A 453 (1997)
+    known = {
+        "E6": (1, 72, 1062, 6696),
+        "E7": (1, 126, 2898, 25886),
+        "E8": (1, 240, 9120),
+    }
+    for tag, want in known.items():
+        spec = lattice_spec(lt(tag), allow_expensive=True)
+        assert enumerate_lengths(spec, len(want) - 1).counts == want
+
+
+def _unimodular_image(spec, lower, upper):
+    """The spec's generators mapped by lower @ upper.
+
+    Both factors are unit triangular, so the product has determinant 1:
+    it is an automorphism of Z^n and keeps every word length.
+    """
+    n = spec.ambient_dim
+    m = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    gens = tuple(tuple(sum(row[j] * g[j] for j in range(n)) for row in m) for g in spec.generators)
+    return LatticeSpec(n, spec.rank, gens)
+
+
+def test_unimodular_image_keeps_the_census():
     cases = [
-        (lt("A", 3), 6),
-        (lt("B", 3), 6),
-        (lt("C", 3), 5),
-        (lt("D", 4), 5),
-        (lt("G2"), 6),
-        (lt("F4"), 4),
+        (lt("D", 4), ((1, 0, 0, 0), (2, 1, 0, 0), (0, 3, 1, 0), (1, 0, 2, 1)),
+         ((1, 3, 0, 1), (0, 1, 2, 0), (0, 0, 1, 3), (0, 0, 0, 1)), 5),
+        (lt("B", 3), ((1, 0, 0), (3, 1, 0), (2, 4, 1)),
+         ((1, 2, 1), (0, 1, 3), (0, 0, 1)), 5),
     ]
-    for t, K in cases:
+    for t, lower, upper, K in cases:
         spec = lattice_spec(t)
-        a = enumerate_lengths(spec, K, backend="python").counts
-        b = enumerate_lengths(spec, K, backend="native").counts
-        assert a == b
+        skew = _unimodular_image(spec, lower, upper)
+        assert skew.max_component > 6
+        assert enumerate_lengths(skew, K).counts == enumerate_lengths(spec, K).counts
 
 
-@pytest.mark.skipif(not native_available(), reason="compiled kernel not built")
-def test_backends_agree_on_custom_generators():
-    # mixed signs and magnitudes exercise the packed-field carries
-    spec = LatticeSpec(2, 2, ((1, 2), (-1, -2), (3, -1), (-3, 1)))
-    a = enumerate_lengths(spec, 8, backend="python").counts
-    b = enumerate_lengths(spec, 8, backend="native").counts
-    assert a == b
-
-    axes = tuple(
-        tuple(s if i == j else 0 for j in range(8)) for i in range(8) for s in (1, -1)
-    )
-    spec8 = LatticeSpec(8, 8, axes)
-    a = enumerate_lengths(spec8, 4, backend="python").counts
-    b = enumerate_lengths(spec8, 4, backend="native").counts
-    assert a == b
-
-
-@pytest.mark.skipif(not native_available(), reason="compiled kernel not built")
-def test_packing_range_is_enforced():
-    spec = lattice_spec(lt("C", 2))  # components up to 2
-    with pytest.raises(ValueError):
-        enumerate_lengths(spec, 61, backend="native")
-    # the packing boundary itself is fine: one axis pair, 40 steps of 3
+def test_line_census_with_wide_steps():
     line = LatticeSpec(1, 1, ((3,), (-3,)))
-    assert (
-        enumerate_lengths(line, 40, backend="native").counts
-        == enumerate_lengths(line, 40, backend="python").counts
-    )
+    assert enumerate_lengths(line, 50).counts == (1,) + (2,) * 50
 
 
-def test_auto_backend_falls_back_out_of_range():
-    line = LatticeSpec(1, 1, ((3,), (-3,)))
-    wide = enumerate_lengths(line, 50, backend="auto")  # 50*3 > 120
-    assert wide.counts == enumerate_lengths(line, 50, backend="python").counts
+def test_backend_keyword_is_inert():
+    spec = lattice_spec(lt("D", 4))
+    default = enumerate_lengths(spec, 4).counts
+    assert enumerate_lengths(spec, 4, backend="python").counts == default
+    assert enumerate_lengths(spec, 4, backend="auto").counts == default
+    for bad in ("native", "cython"):
+        with pytest.raises(ValueError):
+            enumerate_lengths(spec, 4, backend=bad)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_memory_budget_partial_result(backend):
+def test_memory_budget_partial_result():
     spec = lattice_spec(lt("D", 4))
     with pytest.raises(MemoryBudgetExceeded) as exc:
-        enumerate_lengths(spec, 12, backend, memory_budget_mib=0)
+        enumerate_lengths(spec, 12, memory_budget_mib=0)
     err = exc.value
     assert err.last_completed_level >= 1
     assert err.partial_counts[0] == 1
     assert len(err.partial_counts) == err.last_completed_level + 1
+    full = enumerate_lengths(spec, err.last_completed_level).counts
+    assert err.partial_counts == full
+    # a budget the walk fits into changes nothing
+    assert enumerate_lengths(spec, 6, memory_budget_mib=64).counts == enumerate_lengths(spec, 6).counts
 
 
 def test_recovery_round_trip():

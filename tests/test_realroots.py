@@ -51,6 +51,13 @@ def test_count_in_closed_interval():
     assert count_real_roots(p, Interval(Fraction(-1), Fraction(1))) == 3
     assert count_real_roots(p, Interval(Fraction(1, 2), Fraction(2))) == 1
     assert count_real_roots(p, Interval(Fraction(-3), Fraction(-2))) == 0
+    assert count_real_roots(p, Interval(Fraction(-1), Fraction(0))) == 2
+    # roots 0.0999930, 0.1 and 0.1000073: stepping off the endpoint 1/10
+    # by 1/(1 + max|coeff|) would jump over the root just below it
+    line = poly([-1, 10])
+    p = line * (poly([0] * 8 + [1]) - poly([2]) * line * line)
+    assert count_real_roots(p, Interval(Fraction(1, 10), Fraction(1))) == 2
+    assert count_real_roots(p, Interval(Fraction(0), Fraction(1, 10))) == 2
 
 
 def test_root_report_with_multiplicities():
