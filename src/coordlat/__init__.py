@@ -1,7 +1,8 @@
 """Coordinator polynomials of root lattices, with exact root location.
 
-Closed-form construction for the classical families, Sturm-chain root
-counting and isolation, trigonometric bracketing for the type D family,
+Closed-form construction for the classical families, root counting and
+isolation certified by sign ladders (types A, C, D) or Sturm chains,
+trigonometric bracketing for the type D family,
 coefficient diagnostics (log-concavity, unimodality, truncated total
 positivity), and a brute-force word-length enumerator that cross-checks
 everything from the generator tables alone.

@@ -284,12 +284,56 @@ def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+# a Mersenne prime; residues stay below 2^61, and every closed-form
+# coordinator polynomial has leading coefficient 1, never divisible by it
+_SQF_PRIME = 2**61 - 1
+
+
+def _gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
+    """Remainder of a by b over GF(q); b has a nonzero leading coefficient."""
+    r = list(a)
+    inv = pow(b[-1], -1, q)
+    db = len(b) - 1
+    while len(r) - 1 >= db:
+        f = r.pop() * inv % q
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] = (r[shift + i] - f * b[i]) % q
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _squarefree_mod_prime(c: list[int], q: int = _SQF_PRIME) -> bool:
+    """True when gcd(c mod q, c' mod q) = 1, which proves c squarefree over Q.
+
+    A common factor g of c and c' over Q can be taken primitive in
+    Z[x]; by Gauss's lemma it divides both in Z[x], and its leading
+    coefficient divides c's, which q does not divide, so g mod q keeps
+    its degree and divides both residues.  False means undecided: q
+    divides the leading coefficient, or the residues share a factor.
+    """
+    if c[-1] % q == 0:
+        return False
+    a = [v % q for v in c]
+    b = [v % q for v in _int_derivative(c)]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _gf_rem(a, b, q)
+    return len(a) == 1
+
+
 def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...]:
     """Yun decomposition: pairwise-coprime squarefree factors with multiplicities.
 
     Returns ((g_1, m_1), ...) where p is a positive rational times the
     product of g_i^{m_i}, each g_i is primitive with positive leading
     coefficient, and the m_i are distinct.  Ordered by multiplicity.
+
+    A coprimality certificate modulo one large prime settles the common
+    squarefree case without the integer remainder sequence; only inputs
+    it cannot certify go through Yun's integer gcds.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
@@ -298,6 +342,13 @@ def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...
         c = [-x for x in c]
     if len(c) == 1:
         return ()
+    if _squarefree_mod_prime(c):
+        return ((poly(c), 1),)
+    return _yun(c)
+
+
+def _yun(c: list[int]) -> tuple[tuple[Polynomial, int], ...]:
+    """Yun's algorithm over integer gcds; c is primitive, positive leading."""
     g = _int_gcd(c, _int_derivative(c))
     if len(g) == 1:
         return ((poly(c), 1),)

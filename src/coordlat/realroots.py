@@ -1,18 +1,33 @@
-"""Exact real-root counting, isolation, and trigonometric root bracketing.
+"""Exact real-root counting, isolation, and root-bracketing ladders.
 
-Root counts come from Sturm chains evaluated with integer arithmetic:
-the chain is built from the squarefree part by a primitive
-pseudo-remainder sequence, which keeps every element an exact positive
-rational multiple of the textbook chain element, so sign variations are
-unchanged.  Isolation is plain bisection on variation counts.
+Every count is certified exactly, by one of two devices.
 
-For type D coordinator polynomials there is a second, independent
-root-localization device: substituting x = -tan^2(phi/2) turns the
-polynomial into cos(n phi) plus a small perturbation whose sign at the
-nodes j pi / n alternates, so each window (j pi / n, (j+1) pi / n)
-brackets exactly one root.  The float screen only picks candidate
-windows; every reported x-interval is certified by exact rational sign
-evaluation.
+A ladder is a decreasing list of n+1 rationals at which a degree-n
+polynomial takes exact, strictly alternating signs (Horner evaluation
+in integers); n sign changes prove n distinct real roots, one between
+each pair of adjacent rungs.  The closed forms of types A, C and D
+come with float root separators: -tan^2(j pi / 2n) for C and D, and
+x = (t-1)/(t+1) at t = cos(k pi / (n + 1/2)) for A, from the Legendre
+identity h_A(x) = (1-x)^n P_n((1+x)/(1-x)) and Szego's interlacing of
+the Legendre zeros.  Floats only pick the rungs; each is rounded to a
+rational with denominator at most 2^32 and its sign checked exactly,
+and a rung that fails is moved toward a neighbour or the polynomial
+falls back to Sturm.
+
+Every other polynomial (type B, products, exceptional types, custom
+input) is counted with a Sturm chain built from its squarefree part by
+a primitive pseudo-remainder sequence, which keeps every element an
+exact positive rational multiple of the textbook chain element, so
+sign variations are unchanged.
+
+Isolation bisects on root counts from whichever device certified the
+polynomial; once a subinterval holds a single root it is refined on
+the sign of the squarefree part alone.
+
+For type D the ladder nodes also have a trigonometric reading:
+substituting x = -tan^2(phi/2) turns the polynomial into cos(n phi)
+plus a small perturbation whose sign at the nodes j pi / n alternates,
+so each window (j pi / n, (j+1) pi / n) brackets exactly one root.
 """
 from __future__ import annotations
 
@@ -20,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coordinator import LatticeType, coordinator
+from .coordinator import _CLOSED_FORMS, MIN_RANK, LatticeType, coordinator
 from .exactpoly import (
     Polynomial,
     _int_derivative,
@@ -129,7 +144,7 @@ class BracketingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# integer Sturm kernel
+# exact signs and the Sturm chain
 # ---------------------------------------------------------------------------
 
 
@@ -148,8 +163,9 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(c: list[int], num: int, den: int) -> int:
-    """Sign of sum c_k num^k den^(d-k); den must be positive."""
+def _sign_at(c: list[int], r: Fraction) -> int:
+    """Exact sign of c at r: of sum c_k num^k den^(d-k), Horner in integers."""
+    num, den = r.numerator, r.denominator
     d = len(c) - 1
     acc = c[d]
     tp = 1
@@ -172,7 +188,7 @@ def _variations(signs: list[int]) -> int:
 
 
 def _var_at(chain: list[list[int]], r: Fraction) -> int:
-    return _variations([_sign_at(c, r.numerator, r.denominator) for c in chain])
+    return _variations([_sign_at(c, r) for c in chain])
 
 
 def _var_at_infinity(chain: list[list[int]], positive: bool) -> int:
@@ -203,33 +219,187 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     return SturmChain(tuple(poly(c) for c in _signed_chain(sf)))
 
 
+# ---------------------------------------------------------------------------
+# ladders
+# ---------------------------------------------------------------------------
+
+_LADDER_STEPS = (
+    Fraction(1, 16),
+    Fraction(1, 8),
+    Fraction(1, 4),
+    Fraction(7, 16),
+)
+
+
+def _fix_ladder(c: list[int], ladder: list[Fraction]) -> list[Fraction]:
+    """Make sign(h(ladder[j])) = (-1)^j exact, widening toward neighbors.
+
+    The float-derived ladder essentially always verifies as built; this
+    repairs the rare endpoint that landed on the wrong side of a root
+    by stepping it toward an adjacent rung.
+    """
+    n = len(ladder) - 1
+    out = list(ladder)
+    for j in range(n + 1):
+        want = 1 if j % 2 == 0 else -1
+        if _sign_at(c, out[j]) == want:
+            continue
+        candidates = []
+        for step in _LADDER_STEPS:
+            if j > 0:
+                candidates.append(out[j] + step * (out[j - 1] - out[j]))
+            if j < n:
+                candidates.append(out[j] + step * (out[j + 1] - out[j]))
+        if j == 0:
+            candidates.extend(out[0] / 2**k for k in (1, 2, 3, 4))
+        if j == n:
+            candidates.extend(out[n] * 2**k for k in (1, 2, 3, 4))
+        fixed = None
+        for cand in candidates:
+            if cand >= 0:
+                continue
+            if _sign_at(c, cand) == want:
+                fixed = cand
+                break
+        if fixed is None:
+            raise BracketingError(
+                j, float(out[j]), float(want), "exact sign verification failed"
+            )
+        out[j] = fixed
+    if any(out[i] <= out[i + 1] for i in range(n)):
+        raise BracketingError(0, 0.0, 0.0, "ladder lost strict monotonicity")
+    return out
+
+
+def _ladder(c: list[int], separators: list[float]) -> list[Fraction]:
+    """Exact ladder for c, positive leading coefficient and c(0) > 0.
+
+    The rungs are -1/2^40, the n-1 float separators (decreasing,
+    rounded to denominators at most 2^32), and -(1 + max|c_k|), below
+    every root when the leading coefficient is 1.  Raises
+    BracketingError when no rung repair restores the alternation.
+    """
+    rungs = [Fraction(-1, 2**40)]
+    rungs += [Fraction(t).limit_denominator(2**32) for t in separators]
+    rungs.append(Fraction(-(1 + max(abs(v) for v in c))))
+    return _fix_ladder(c, rungs)
+
+
+def _tan_separators(n: int) -> list[float]:
+    """-tan^2(j pi / 2n), j = 1..n-1: between the roots of h_C and of h_D.
+
+    h_C(-tan^2 u) is a positive multiple of cos(2n u), so its roots
+    sit at u = (2k+1) pi / 4n, midway between these nodes; for h_D the
+    node signs are those of the window function in trig_values.
+    """
+    return [-math.tan(j * math.pi / (2 * n)) ** 2 for j in range(1, n)]
+
+
+def _legendre_separators(n: int) -> list[float]:
+    """(t-1)/(t+1) at t = cos(k pi / (n + 1/2)), k = 1..n-1: between the roots of h_A.
+
+    The k-th Legendre zero cos(theta_k) has theta_k strictly between
+    (k - 1/2) pi / (n + 1/2) and k pi / (n + 1/2) (Szego, Orthogonal
+    Polynomials, Thm 6.21.2), and t -> (t-1)/(t+1) is increasing.
+    """
+    out = []
+    for k in range(1, n):
+        t = math.cos(k * math.pi / (n + 0.5))
+        out.append((t - 1) / (t + 1))
+    return out
+
+
+_SEPARATORS = {"A": _legendre_separators, "C": _tan_separators, "D": _tan_separators}
+
+
+def _certified_ladder(c: list[int]) -> list[Fraction] | None:
+    """Ladder of c when c is the A, C or D closed form of its degree and it certifies."""
+    n = len(c) - 1
+    for tag, separators in _SEPARATORS.items():
+        if n >= MIN_RANK[tag] and list(_CLOSED_FORMS[tag](n).coeffs) == c:
+            try:
+                return _ladder(c, separators(n))
+            except BracketingError:
+                return None
+    return None
+
+
+# ---------------------------------------------------------------------------
+# root counters: N(x) = number of distinct roots greater than x
+# ---------------------------------------------------------------------------
+
+
+class _SturmCounter:
+    """N(x) = V(x) - V(+inf) on the signed remainder chain of squarefree c."""
+
+    def __init__(self, c: list[int]):
+        self.chain = _signed_chain(c)
+        self._v_top = _var_at_infinity(self.chain, True)
+        self.total = _var_at_infinity(self.chain, False) - self._v_top
+
+    def above(self, x: Fraction, s: int) -> int:
+        """Roots greater than x; s, the sign of c at x, is not needed."""
+        return _var_at(self.chain, x) - self._v_top
+
+
+class _LadderCounter:
+    """N(x) from a certified ladder: one binary search and the sign of c at x."""
+
+    def __init__(self, rungs: list[Fraction]):
+        self.rungs = rungs
+        self.total = len(rungs) - 1
+
+    def above(self, x: Fraction, s: int) -> int:
+        """Roots greater than x; s must be the exact sign of c at x."""
+        rungs = self.rungs
+        lo, hi = 0, len(rungs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rungs[mid] > x:
+                lo = mid + 1
+            else:
+                hi = mid
+        # rungs[:lo] lie above x, with one root between each adjacent pair
+        if lo == 0 or lo == len(rungs) or rungs[lo] == x:
+            return min(lo, self.total)
+        # x is inside window lo-1, whose root lies above x exactly when
+        # c(x) has the sign c takes at the lower rung, (-1)^lo
+        return lo - 1 + (s == (1 if lo % 2 == 0 else -1))
+
+
+def _root_counter(c: list[int]) -> _SturmCounter | _LadderCounter:
+    """Ladder counter when one certifies, else Sturm; c squarefree, positive leading."""
+    rungs = _certified_ladder(c)
+    return _SturmCounter(c) if rungs is None else _LadderCounter(rungs)
+
+
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     """Number of distinct real roots of p, on the whole line or in an interval.
 
-    On an interval [a, b] the chain counts the roots in (a, b] as
-    V(a) - V(b), zeros of the chain dropped, even when a or b is a root;
-    an exact check of p(a) = 0 adds the left endpoint.
+    On an interval [a, b] the roots in (a, b] are N(a) - N(b), with N
+    the number of roots above a point, even when a or b is a root; an
+    exact check of p(a) = 0 adds the left endpoint.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return 0
     sf = _squarefree_int(p)
-    chain = _signed_chain(sf)
+    counter = _root_counter(sf)
     if interval is None:
-        return _var_at_infinity(chain, False) - _var_at_infinity(chain, True)
+        return counter.total
     lo, hi = interval.lo, interval.hi
-    at_lo = _sign_at(sf, lo.numerator, lo.denominator) == 0
-    return _var_at(chain, lo) - _var_at(chain, hi) + at_lo
+    s_lo = _sign_at(sf, lo)
+    return counter.above(lo, s_lo) - counter.above(hi, _sign_at(sf, hi)) + (s_lo == 0)
 
 
 def is_real_rooted(p: Polynomial, isolate: bool = False) -> RootReport:
     """Decide whether every root of p is real, counting multiplicities.
 
-    The distinct count comes from Sturm chains of the squarefree
-    factors; the multiplicity-weighted count uses the factor
-    multiplicities, and p is real-rooted exactly when that weighted
-    count reaches the degree.
+    The distinct count comes from the squarefree factors, each
+    certified by a ladder or counted by its Sturm chain; the
+    multiplicity-weighted count uses the factor multiplicities, and p
+    is real-rooted exactly when that weighted count reaches the degree.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -238,27 +408,73 @@ def is_real_rooted(p: Polynomial, isolate: bool = False) -> RootReport:
     distinct = 0
     weighted = 0
     for f, m in squarefree_decomposition(p):
-        c = list(primitive_integer_coeffs(f))
-        chain = _signed_chain(c)
-        k = _var_at_infinity(chain, False) - _var_at_infinity(chain, True)
+        k = _root_counter(list(primitive_integer_coeffs(f))).total
         distinct += k
         weighted += m * k
     intervals = isolate_real_roots(p) if isolate else ()
     return RootReport(p.degree, distinct, weighted, weighted == p.degree, intervals)
 
 
-def _nonroot_split(c: list[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where c does not vanish."""
+# ---------------------------------------------------------------------------
+# isolation and refinement
+# ---------------------------------------------------------------------------
+
+
+def _nonroot_split(c: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """A point strictly inside (lo, hi) where c does not vanish, and c's sign there."""
     mid = (lo + hi) / 2
-    if _sign_at(c, mid.numerator, mid.denominator) != 0:
-        return mid
+    s = _sign_at(c, mid)
+    if s != 0:
+        return mid, s
     gap = hi - lo
     k = 3
     while True:
         for cand in (mid - gap / 2**k, mid + gap / 2**k):
-            if _sign_at(c, cand.numerator, cand.denominator) != 0:
-                return cand
+            s = _sign_at(c, cand)
+            if s != 0:
+                return cand, s
         k += 1
+
+
+def _bisect_sign(
+    c: list[int], lo: Fraction, hi: Fraction, s_lo: int, width: Fraction
+) -> Interval:
+    """Shrink (lo, hi), holding one sign change of c, to at most width."""
+    while hi - lo > width:
+        # split points are chosen off the roots, so signs stay decisive
+        mid, s = _nonroot_split(c, lo, hi)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
+
+
+def _isolate(
+    c: list[int], width: Fraction, counter: _SturmCounter | _LadderCounter
+) -> tuple[Interval, ...]:
+    """Bisection on counter's root counts for squarefree c, then sign refinement."""
+    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
+    lo, hi = Fraction(-bound), Fraction(bound)
+    s_lo = _sign_at(c, lo)
+    found: list[Interval] = []
+    # (a, sign of c at a, N(a), b, N(b)); no endpoint is a root
+    stack = [(lo, s_lo, counter.above(lo, s_lo), hi, counter.above(hi, _sign_at(c, hi)))]
+    while stack:
+        a, sa, na, b, nb = stack.pop()
+        roots_here = na - nb
+        if roots_here == 0:
+            continue
+        if roots_here == 1:
+            # c is squarefree, so its one root here is a sign change
+            found.append(_bisect_sign(c, a, b, sa, width))
+            continue
+        m, sm = _nonroot_split(c, a, b)
+        nm = counter.above(m, sm)
+        stack.append((a, sa, na, m, nm))
+        stack.append((m, sm, nm, b, nb))
+    found.sort(key=lambda iv: iv.lo)
+    return tuple(found)
 
 
 def isolate_real_roots(
@@ -266,34 +482,17 @@ def isolate_real_roots(
 ) -> tuple[Interval, ...]:
     """Disjoint rational intervals, each holding exactly one distinct real root.
 
-    Bisection on Sturm variation counts, starting from the Cauchy-style
-    bound 1 + max|a_k| / |a_d|; intervals are shrunk to at most the
-    requested width.
+    Bisection on root counts (ladder or Sturm) from the Cauchy-style
+    bound 1 + max|a_k| / |a_d|, midpoints nudged off the roots; a
+    subinterval with one root is bisected on signs alone down to at
+    most the requested width.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return ()
     sf = _squarefree_int(p)
-    chain = _signed_chain(sf)
-    bound = 1 + max(abs(v) for v in sf[:-1]) // abs(sf[-1]) + 1
-    lo, hi = Fraction(-bound), Fraction(bound)
-    found: list[Interval] = []
-    stack = [(lo, _var_at(chain, lo), hi, _var_at(chain, hi))]
-    while stack:
-        a, va, b, vb = stack.pop()
-        roots_here = va - vb
-        if roots_here == 0:
-            continue
-        if roots_here == 1 and b - a <= width:
-            found.append(Interval(a, b))
-            continue
-        m = _nonroot_split(sf, a, b)
-        vm = _var_at(chain, m)
-        stack.append((a, va, m, vm))
-        stack.append((m, vm, b, vb))
-    found.sort(key=lambda iv: iv.lo)
-    return tuple(found)
+    return _isolate(sf, width, _root_counter(sf))
 
 
 # ---------------------------------------------------------------------------
@@ -319,66 +518,15 @@ def trig_values(n: int, phi: float) -> tuple[float, float]:
     return math.cos(n * phi) + envelope, envelope
 
 
-# ranks 3 and 4 sit below the default screen: the true node margins are
-# 7/16 and exactly 1/2, so the acceptance threshold 0.5 is relaxed there
-_MARGIN_FLOOR = {3: 0.43, 4: 0.49}
-
-_LADDER_STEPS = (
-    Fraction(1, 16),
-    Fraction(1, 8),
-    Fraction(1, 4),
-    Fraction(7, 16),
-)
-
-
-def _fix_ladder(c: list[int], ladder: list[Fraction]) -> list[Fraction]:
-    """Make sign(h(ladder[j])) = (-1)^j exact, widening toward neighbors.
-
-    The float-derived ladder essentially always verifies as built; this
-    repairs the rare endpoint that landed on the wrong side of a root
-    by stepping it toward an adjacent rung.
-    """
-    n = len(ladder) - 1
-    out = list(ladder)
-    for j in range(n + 1):
-        want = 1 if j % 2 == 0 else -1
-        if _sign_at(c, out[j].numerator, out[j].denominator) == want:
-            continue
-        candidates = []
-        for step in _LADDER_STEPS:
-            if j > 0:
-                candidates.append(out[j] + step * (out[j - 1] - out[j]))
-            if j < n:
-                candidates.append(out[j] + step * (out[j + 1] - out[j]))
-        if j == 0:
-            candidates.extend(out[0] / 2**k for k in (1, 2, 3, 4))
-        if j == n:
-            candidates.extend(out[n] * 2**k for k in (1, 2, 3, 4))
-        fixed = None
-        for cand in candidates:
-            if cand >= 0:
-                continue
-            if _sign_at(c, cand.numerator, cand.denominator) == want:
-                fixed = cand
-                break
-        if fixed is None:
-            raise BracketingError(
-                j, float(out[j]), float(want), "exact sign verification failed"
-            )
-        out[j] = fixed
-    if any(out[i] <= out[i + 1] for i in range(n)):
-        raise BracketingError(0, 0.0, 0.0, "ladder lost strict monotonicity")
-    return out
-
-
-def d_type_brackets(n: int, margin: float = 0.5) -> tuple[TrigBracket, ...]:
+def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, ...]:
     """Certified brackets, one per root, for the type D coordinator polynomial.
 
-    Checks the alternating sign pattern of the window function at the
-    nodes j pi / n with a float margin, maps the nodes to rational
-    x values with denominators at most 2^32, and verifies an exact sign
-    change across every window.  Returns n brackets ordered from the
-    root nearest zero (j = 0) to the most negative (j = n-1).
+    Maps the nodes j pi / n to rational x values with denominators at
+    most 2^32 and verifies an exact sign change across every window.
+    With a margin, the float window value at every node must also clear
+    it in the alternating direction, or BracketingError is raised.
+    Returns n brackets ordered from the root nearest zero (j = 0) to
+    the most negative (j = n-1).
     """
     if n < 3:
         raise ValueError(
@@ -387,23 +535,15 @@ def d_type_brackets(n: int, margin: float = 0.5) -> tuple[TrigBracket, ...]:
     hd = coordinator(LatticeType("D", n)).poly
     c = [int(v) for v in hd.coeffs]
 
-    gate = min(margin, _MARGIN_FLOOR.get(n, margin))
-    node_values = []
-    for j in range(n + 1):
-        value, _ = trig_values(n, j * math.pi / n)
-        node_values.append(value)
-        signed = value if j % 2 == 0 else -value
-        if signed < gate:
-            raise BracketingError(
-                j, value, gate, "float interlacing margin violated"
-            )
-
-    ladder = [Fraction(-1, 2**40)]
-    for j in range(1, n):
-        t = -math.tan(j * math.pi / (2 * n)) ** 2
-        ladder.append(Fraction(t).limit_denominator(2**32))
-    ladder.append(Fraction(-(1 + max(abs(v) for v in c))))
-    ladder = _fix_ladder(c, ladder)
+    node_values = [trig_values(n, j * math.pi / n)[0] for j in range(n + 1)]
+    if margin is not None:
+        for j, value in enumerate(node_values):
+            signed = value if j % 2 == 0 else -value
+            if signed < margin:
+                raise BracketingError(
+                    j, value, margin, "float interlacing margin violated"
+                )
+    ladder = _ladder(c, _tan_separators(n))
 
     brackets = []
     for j in range(n):
@@ -434,16 +574,8 @@ def refine_bracket(
     if width <= 0:
         raise ValueError("width must be positive")
     c = list(primitive_integer_coeffs(p))
-    lo, hi = iv.lo, iv.hi
-    s_lo = _sign_at(c, lo.numerator, lo.denominator)
-    s_hi = _sign_at(c, hi.numerator, hi.denominator)
+    s_lo = _sign_at(c, iv.lo)
+    s_hi = _sign_at(c, iv.hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("endpoint signs must be nonzero and opposite")
-    while hi - lo > width:
-        # split points are chosen off the roots, so signs stay decisive
-        mid = _nonroot_split(c, lo, hi)
-        if _sign_at(c, mid.numerator, mid.denominator) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
+    return _bisect_sign(c, iv.lo, iv.hi, s_lo, width)

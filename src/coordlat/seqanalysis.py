@@ -144,6 +144,20 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _pf2_by_log_concavity(a: list[int]) -> bool:
+    """True when a is log-concave with no internal zeros.
+
+    For a nonnegative sequence this is equivalent to every order-2
+    Toeplitz minor being nonnegative (Brenti, Mem. AMS 413, 1989), so
+    True settles the order-2 pass in O(n); False sends it to the scan,
+    which then finds the first negative minor.
+    """
+    support = [i for i, v in enumerate(a) if v]
+    if support and 0 in a[support[0] : support[-1]]:
+        return False
+    return all(a[k] * a[k] >= a[k - 1] * a[k + 1] for k in range(1, len(a) - 1))
+
+
 def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
     """Nonnegativity of all Toeplitz minors of the sequence up to max_order.
 
@@ -197,8 +211,9 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
     # combined with the min(r_1, c_1) = 0 canonical form forces c_1 = 0.
     # The loops below generate exactly the admissible canonical sets in
     # (rows, cols) lexicographic order.  Order-1 minors are the entries
-    # themselves, already known nonnegative.
-    if max_order >= 2:
+    # themselves, already known nonnegative; the order-2 scan runs only
+    # when the log-concavity test cannot rule out a negative minor.
+    if max_order >= 2 and not _pf2_by_log_concavity(a):
         for r1 in range(min(n, P - 2) + 1):
             A1 = entry(r1)
             for r2 in range(r1 + 1, P):

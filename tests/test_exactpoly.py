@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordlat import exactpoly
+from coordlat.coordinator import LatticeType, coordinator
 from coordlat.exactpoly import (
     ONE,
     X,
@@ -159,3 +161,71 @@ def test_squarefree_factors_multiply_back(p):
     # equal up to the rational content removed by the factorization
     lead = p.coeffs[-1] / prod.coeffs[-1]
     assert prod.scale(lead) == p
+
+
+def _positive_primitive(p):
+    c = list(primitive_integer_coeffs(p))
+    return c if c[-1] > 0 else [-x for x in c]
+
+
+nonconstant = small_polys.filter(lambda p: p.degree >= 1)
+
+
+@given(nonconstant, nonconstant)
+@settings(max_examples=60, deadline=None)
+def test_modular_certificate_matches_integer_gcds(g, h):
+    for p in (g * g * h, h):
+        c = _positive_primitive(p)
+        # the certificate is sound: it never passes a polynomial with a
+        # repeated factor, and g^2 h always has one
+        if exactpoly._squarefree_mod_prime(c):
+            assert len(exactpoly._int_gcd(c, exactpoly._int_derivative(c))) == 1
+            assert p is h
+        assert squarefree_decomposition(p) == exactpoly._yun(c)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6, unique=True), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_distinct_roots_are_certified_squarefree(roots, scale):
+    p = poly([scale])
+    for r in roots:
+        p = p * poly([-r, 1])
+    c = _positive_primitive(p)
+    assert exactpoly._squarefree_mod_prime(c)
+    assert squarefree_decomposition(p) == exactpoly._yun(c) == ((poly(c), 1),)
+
+
+def test_closed_forms_skip_the_integer_gcds(monkeypatch):
+    def no_yun(c):
+        raise AssertionError("integer gcd path taken")
+
+    monkeypatch.setattr(exactpoly, "_yun", no_yun)
+    for tag, n in (("A", 30), ("B", 30), ("C", 30), ("D", 30)):
+        h = coordinator(LatticeType(tag, n)).poly
+        assert squarefree_decomposition(h) == ((h, 1),)
+
+
+def test_leading_coefficient_divisible_by_the_prime_falls_back(monkeypatch):
+    q = exactpoly._SQF_PRIME
+    calls = []
+    yun = exactpoly._yun
+    monkeypatch.setattr(exactpoly, "_yun", lambda c: calls.append(c) or yun(c))
+    p = poly([-1, 0, q])  # q x^2 - 1, squarefree
+    assert not exactpoly._squarefree_mod_prime(list(p.coeffs))
+    assert squarefree_decomposition(p) == ((p, 1),)
+    # (q x + 1)^2 (x - 2) reduces to x - 2 mod q, which is squarefree;
+    # only the leading-coefficient test stops a false certificate
+    line = poly([1, q])
+    p = line * line * poly([-2, 1])
+    assert not exactpoly._squarefree_mod_prime(list(primitive_integer_coeffs(p)))
+    assert squarefree_decomposition(p) == ((poly([-2, 1]), 1), (line, 2))
+    assert len(calls) == 2
+
+
+def test_rank_two_d_keeps_its_double_root():
+    from coordlat.realroots import is_real_rooted
+
+    h = coordinator(LatticeType("D", 2)).poly
+    assert squarefree_decomposition(h) == ((poly([1, 1]), 2),)
+    rep = is_real_rooted(h)
+    assert (rep.distinct_real, rep.real_with_multiplicity, rep.is_real_rooted) == (1, 2, True)

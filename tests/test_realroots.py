@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordlat import realroots
 from coordlat.coordinator import LatticeType, coordinator
-from coordlat.exactpoly import eval_at, poly
+from coordlat.exactpoly import (
+    eval_at,
+    poly,
+    primitive_integer_coeffs,
+    squarefree_decomposition,
+)
 from coordlat.realroots import (
     BracketingError,
     Interval,
@@ -180,6 +186,74 @@ def test_rank_two_has_no_ladder():
 def test_unreachable_margin_raises():
     with pytest.raises(BracketingError):
         d_type_brackets(5, margin=0.99)
+
+
+def test_margin_is_enforced_as_given():
+    # rank 3 has true node margin 7/16: no silent relaxation below 1/2,
+    # and no float gate at all unless a margin is asked for
+    with pytest.raises(BracketingError):
+        d_type_brackets(3, margin=0.5)
+    assert len(d_type_brackets(3, margin=0.43)) == 3
+    assert d_type_brackets(3) == d_type_brackets(3, margin=0.43)
+
+
+def sturm_only_report(p):
+    """(distinct, with multiplicity, verdict) from Sturm chains alone."""
+    distinct = weighted = 0
+    for f, m in squarefree_decomposition(p):
+        k = realroots._SturmCounter(list(primitive_integer_coeffs(f))).total
+        distinct += k
+        weighted += m * k
+    return distinct, weighted, weighted == p.degree
+
+
+def sturm_only_intervals(p, width=Fraction(1, 64)):
+    sf = realroots._squarefree_int(p)
+    return realroots._isolate(sf, width, realroots._SturmCounter(sf))
+
+
+def test_ladders_agree_with_sturm_through_rank_40():
+    for tag in "ABCD":
+        for n in range(2 if tag == "D" else 1, 41):
+            h = h_of(tag, n)
+            c = list(primitive_integer_coeffs(h))
+            ladder = realroots._certified_ladder(c)
+            if tag in "AC" or (tag == "D" and n >= 3):
+                assert ladder is not None, f"{tag}{n} not ladder-certified"
+            rep = is_real_rooted(h)
+            want = sturm_only_report(h)
+            assert (rep.distinct_real, rep.real_with_multiplicity, rep.is_real_rooted) == want
+            assert isolate_real_roots(h) == sturm_only_intervals(h), f"{tag}{n}"
+
+
+def test_ladder_counter_matches_sturm_at_rungs_and_roots():
+    # N(x) at every rung, between rungs and on a root itself
+    h = h_of("C", 6)
+    c = list(primitive_integer_coeffs(h))
+    ladder = realroots._LadderCounter(realroots._certified_ladder(c))
+    sturm = realroots._SturmCounter(c)
+    points = list(ladder.rungs) + [Fraction(-10**6), Fraction(1), Fraction(0)]
+    points += [(a + b) / 2 for a, b in zip(ladder.rungs, ladder.rungs[1:])]
+    for x in points:
+        s = realroots._sign_at(c, x)
+        assert ladder.above(x, s) == sturm.above(x, s)
+    # h_C(x^2) = ((1+x)^12 + (1-x)^12) / 2 has no rational roots, so use
+    # a ladder polynomial with one: h_A(1) = 1 + x at x = -1
+    one = realroots._LadderCounter(realroots._certified_ladder([1, 1]))
+    assert one.above(Fraction(-1), 0) == 0
+    assert count_real_roots(poly([1, 1]), Interval(Fraction(-1), Fraction(0))) == 1
+
+
+def test_non_closed_forms_take_sturm():
+    assert realroots._certified_ladder([1, 3, 1, 1]) is None  # 1+3x+x^2+x^3
+    for n in (16, 20):
+        c = list(primitive_integer_coeffs(h_of("B", n)))
+        assert realroots._certified_ladder(c) is None
+    # a product of closed forms is not itself a closed form
+    prod = h_of("A", 3) * h_of("C", 2)
+    assert realroots._certified_ladder(list(primitive_integer_coeffs(prod))) is None
+    rep = is_real_rooted(prod)
+    assert (rep.distinct_real, rep.is_real_rooted) == (5, True)
 
 
 def test_bracket_validates_sign_pattern():

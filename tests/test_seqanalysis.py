@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coordlat.seqanalysis import (
@@ -184,3 +184,43 @@ def test_log_concave_implication_to_unimodal(seq):
     nz = check_no_internal_zeros(seq)
     if lc.holds and nz.holds:
         assert check_unimodal(seq).holds
+
+
+def brute_force_pf2(seq):
+    """(holds, rows, cols, det, clamped) as pf_minor_check(seq, 2) reports them.
+
+    Scans every pair of rows and columns of the (n+2) x (n+2) Toeplitz
+    matrix in lexicographic order; the first negative minor is the witness.
+    """
+    vals = [Fraction(v) for v in seq]
+    n = len(vals) - 1
+    if n == 0:
+        return True, None, None, None, True
+
+    def entry(i, j):
+        d = i - j
+        return vals[d] if 0 <= d <= n else Fraction(0)
+
+    for R in combinations(range(n + 2), 2):
+        for C in combinations(range(n + 2), 2):
+            det = entry(R[0], C[0]) * entry(R[1], C[1]) - entry(R[0], C[1]) * entry(R[1], C[0])
+            if det < 0:
+                return False, R, C, det, False
+    return True, None, None, None, False
+
+
+entries = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=4))
+
+
+@given(st.integers(0, 2), st.lists(entries, min_size=1, max_size=7))
+@settings(max_examples=150, deadline=None)
+@example(0, [1, 0, 0, 1])  # log-concave, but an internal zero makes it fail
+@example(2, [1, 2, 1])  # leading zeros, still PF2
+@example(0, [Fraction(1, 2), 1, Fraction(1, 3)])
+@example(0, [3])
+def test_pf2_matches_brute_force_minors(leading_zeros, seq):
+    seq = [0] * leading_zeros + seq
+    v = pf_minor_check(seq, 2)
+    w = v.witness
+    got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
+    assert got + (v.clamped,) == brute_force_pf2(seq)
