@@ -21,7 +21,6 @@ __all__ = [
     "ONE",
     "X",
     "poly",
-    "arith",
     "power",
     "eval_at",
     "derivative",
@@ -31,7 +30,6 @@ __all__ = [
     "legendre",
     "binom",
     "double_factorial",
-    "combinatorial",
 ]
 
 
@@ -51,15 +49,6 @@ def double_factorial(m: int) -> int:
         result *= m
         m -= 2
     return result
-
-
-def combinatorial(kind: str, *args: int) -> int:
-    """Dispatch by name: combinatorial('binom', n, k) or ('double_factorial', m)."""
-    if kind == "binom":
-        return binom(*args)
-    if kind == "double_factorial":
-        return double_factorial(*args)
-    raise ValueError(f"unknown combinatorial kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +137,6 @@ X = Polynomial((Fraction(0), Fraction(1)))
 def poly(coeffs: Iterable[Scalar]) -> Polynomial:
     """Build a Polynomial from any iterable of ints or Fractions."""
     return Polynomial(tuple(Fraction(c) for c in coeffs))
-
-
-def arith(p: Polynomial, q: Polynomial, kind: str) -> Polynomial:
-    """Exact add/sub/mul selected by name."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown arith kind {kind!r}")
 
 
 def power(p: Polynomial, k: int) -> Polynomial:

@@ -3,11 +3,15 @@
 Log-concavity, unimodality, internal zeros, and a truncated total
 positivity test on the Toeplitz matrix of the sequence.  Everything is
 decided in exact rational/integer arithmetic; a failed check always
-carries a witness that can be re-verified by direct computation.
+carries a witness that can be re-verified by direct computation.  A
+passing positivity test up to order k is certified by the C(n + k, k)
+order-k minors on the first k columns, which are Schur functions of the
+sequence and decide every smaller order too (see `pf_minor_check`).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -158,21 +162,81 @@ def _pf2_by_log_concavity(a: list[int]) -> bool:
     return all(a[k] * a[k] >= a[k - 1] * a[k + 1] for k in range(1, len(a) - 1))
 
 
+def _column_solid_nonnegative(a: list[int], k: int) -> bool:
+    """True when every k x k minor det[a_{r_i - j}], j = 0..k-1, is >= 0.
+
+    Leading zeros are stripped first, so a_0 > 0; rows run over
+    range(len(a) + k - 1), since every later row is zero.  Each minor is
+    expanded along its last row: the k cofactors are computed once per
+    choice of the first k - 1 rows, and each last row then costs k
+    multiplications.  Order 3 is unrolled by hand.
+    """
+    lead = next((i for i, v in enumerate(a) if v), len(a))
+    padded = [0] * (k - 1) + a[lead:] + [0] * (k - 1)
+    # row r holds (a_r, a_{r-1}, ..., a_{r-k+1})
+    rows = [padded[r : r + k][::-1] for r in range(len(padded) - k + 1)]
+    if k == 3:
+        for i, (u0, u1, u2) in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                v0, v1, v2 = rows[j]
+                c0 = u1 * v2 - u2 * v1
+                c1 = u2 * v0 - u0 * v2
+                c2 = u0 * v1 - u1 * v0
+                for x0, x1, x2 in rows[j + 1 :]:
+                    if c0 * x0 + c1 * x1 + c2 * x2 < 0:
+                        return False
+        return True
+    for head in combinations(range(len(rows)), k - 1):
+        sub = [rows[r] for r in head]
+        cof = [
+            (-1) ** (k - 1 + j) * _bareiss_det([row[:j] + row[j + 1 :] for row in sub])
+            for j in range(k)
+        ]
+        if any(cof):
+            for x in rows[head[-1] + 1 :]:
+                if sum(map(operator.mul, cof, x)) < 0:
+                    return False
+    return True
+
+
 def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
     """Nonnegativity of all Toeplitz minors of the sequence up to max_order.
 
     The matrix entries are a_{i-j} (zero outside the sequence range).
-    Row and column indices run over 0..n+max_order-1 so every minor
-    shape of the given orders appears; a shift of both index sets leaves
-    a minor unchanged, so only representatives with a zero minimum index
-    are evaluated.  The reported witness is still the lexicographically
-    first negative minor ordered by (order, rows, cols): any negative
-    minor shifts down to an equal canonical one that precedes it.
+    max_order is clamped to the sequence length n + 1, and `clamped`
+    says so.  Entries are scaled by their common denominator first;
+    scaling multiplies every order-s minor by a positive constant, so
+    verdicts are unaffected.  This is a necessary condition for the
+    sequence to be a Polya frequency sequence, not the full (all-orders)
+    decision.
 
-    This is a necessary condition for the sequence to be a Polya
-    frequency sequence, not the full (all-orders) decision.  Entries are
-    scaled by their common denominator first; scaling multiplies every
-    order-s minor by a positive constant, so verdicts are unaffected.
+    A pass is certified by C(n + k, k) minors, k = max_order.  Shifting
+    the sequence shifts the rows of the Toeplitz matrix and leaves its
+    set of minors unchanged, so leading zeros are stripped and a_0 > 0.
+    With h_j = a_j / a_0, the skew Jacobi-Trudi identity writes the
+    minor on rows r_1 < ... < r_s and columns c_1 < ... < c_s as
+    a_0^s s_{lambda/mu}, where lambda = (r_s - s + 1, ..., r_2 - 1, r_1)
+    and mu is built from the columns the same way (Macdonald, Symmetric
+    Functions and Hall Polynomials, 2nd ed., I.5).  Littlewood-Richardson
+    expands s_{lambda/mu} = sum c^lambda_{mu nu} s_nu with c >= 0 and
+    nu inside lambda, so l(nu) <= s (I.9).  Each s_nu is the minor on
+    columns 0..s-1 with rows r_i = nu_{s+1-i} + i - 1, divided by a_0^s,
+    and it vanishes once a row passes n + s - 1.  An order-s minor on
+    columns 0..s-1 with rows R equals a_0^(s-k) times the order-k minor
+    on columns 0..k-1 with rows (0, ..., k-s-1) followed by R + k - s,
+    whose top-left block is triangular with a_0 on its diagonal.  So the
+    order-k minors on columns 0..k-1, rows R in range(n + k), decide
+    every order up to k at once.  Order 2 is settled in O(n) instead:
+    log-concave with no internal zeros is PF2 (Brenti, Mem. AMS 413,
+    1989).
+
+    A failure is reported by a canonical scan.  Row and column indices
+    run over 0..n+max_order-1 so every minor shape of the given orders
+    appears; a shift of both index sets leaves a minor unchanged, so only
+    representatives with a zero minimum index are evaluated.  The
+    reported witness is the lexicographically first negative minor
+    ordered by (order, rows, cols): any negative minor shifts down to an
+    equal canonical one that precedes it.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -191,11 +255,6 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
     for v in vals:
         lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
     a = [int(v * lcm) for v in vals]
-    P = n + max_order
-
-    # pad with zeros on both sides so a[i-j] becomes one list lookup
-    padded = [0] * P + a + [0] * P
-    entry = lambda d, _get=padded.__getitem__, _off=P: _get(d + _off)
 
     def fail(rows, cols, det):
         return SequenceVerdict(
@@ -204,6 +263,19 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
             MinorWitness(rows, cols, Fraction(det, lcm ** len(rows))),
             clamped,
         )
+
+    if max_order < 2 or (
+        _pf2_by_log_concavity(a)
+        and (max_order == 2 or _column_solid_nonnegative(a, max_order))
+    ):
+        return SequenceVerdict(f"pf_order_{max_order}", True, None, clamped)
+
+    # A minor is negative; the canonical scan finds the first one.
+    P = n + max_order
+
+    # pad with zeros on both sides so a[i-j] becomes one list lookup
+    padded = [0] * P + a + [0] * P
+    entry = lambda d, _get=padded.__getitem__, _off=P: _get(d + _off)
 
     # Minors whose main diagonal leaves the band r - c in [0, n] contain
     # a zero block large enough to vanish, so only index sets with
@@ -261,4 +333,4 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
                 det = _bareiss_det([[entry(r - c) for c in C] for r in R])
                 if det < 0:
                     return fail(R, C, det)
-    return SequenceVerdict(f"pf_order_{max_order}", True, None, clamped)
+    raise AssertionError("a negative minor escaped the canonical scan")

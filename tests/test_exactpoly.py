@@ -12,9 +12,7 @@ from coordlat.exactpoly import (
     X,
     ZERO,
     Polynomial,
-    arith,
     binom,
-    combinatorial,
     derivative,
     double_factorial,
     eval_at,
@@ -44,6 +42,10 @@ def test_basic_arithmetic():
     assert (-p).coeffs == (-1, -1)
     assert (p * ZERO).is_zero
     assert p.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1, 2))
+    q = poly([1, -1])
+    assert p + q == poly([2])
+    assert p - q == poly([0, 2])
+    assert p * q == poly([1, 0, -1])
 
 
 def test_power_matches_repeated_multiplication():
@@ -71,7 +73,6 @@ def test_binomial_outside_range_is_zero():
     assert binom(5, 2) == 10
     assert binom(5, 7) == 0
     assert binom(5, -1) == 0
-    assert combinatorial("binom", 6, 3) == 20
 
 
 def test_double_factorial():
@@ -125,13 +126,6 @@ def test_legendre_first_values():
     assert legendre(1) == X
     assert legendre(2).coeffs == (Fraction(-1, 2), 0, Fraction(3, 2))
     assert legendre(3).coeffs == (0, Fraction(-3, 2), 0, Fraction(5, 2))
-
-
-def test_arith_dispatcher():
-    p, q = poly([1, 1]), poly([1, -1])
-    assert arith(p, q, "add") == poly([2])
-    assert arith(p, q, "sub") == poly([0, 2])
-    assert arith(p, q, "mul") == poly([1, 0, -1])
 
 
 @given(small_polys, small_polys, rationals)

@@ -1,4 +1,5 @@
 """Coefficient-sequence checks, cross-validated by a naive minor scan."""
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -186,27 +187,35 @@ def test_log_concave_implication_to_unimodal(seq):
         assert check_unimodal(seq).holds
 
 
-def brute_force_pf2(seq):
-    """(holds, rows, cols, det, clamped) as pf_minor_check(seq, 2) reports them.
+def brute_force_pf(seq, max_order):
+    """(holds, rows, cols, det, clamped) as pf_minor_check(seq, max_order) reports them.
 
-    Scans every pair of rows and columns of the (n+2) x (n+2) Toeplitz
-    matrix in lexicographic order; the first negative minor is the witness.
+    Scans every square minor of order 2..max_order of the (n+k) x (n+k)
+    Toeplitz matrix, k = max_order clamped to n + 1, in (order, rows,
+    cols) lexicographic order; the first negative minor is the witness.
+    Determinants are Leibniz sums over the entries scaled to integers.
     """
     vals = [Fraction(v) for v in seq]
     n = len(vals) - 1
-    if n == 0:
-        return True, None, None, None, True
-
-    def entry(i, j):
-        d = i - j
-        return vals[d] if 0 <= d <= n else Fraction(0)
-
-    for R in combinations(range(n + 2), 2):
-        for C in combinations(range(n + 2), 2):
-            det = entry(R[0], C[0]) * entry(R[1], C[1]) - entry(R[0], C[1]) * entry(R[1], C[0])
-            if det < 0:
-                return False, R, C, det, False
-    return True, None, None, None, False
+    k = min(max_order, n + 1)
+    lcm = math.lcm(*(v.denominator for v in vals))
+    ints = [int(v * lcm) for v in vals]
+    P = n + k
+    mat = [[ints[i - j] if 0 <= i - j <= n else 0 for j in range(P)] for i in range(P)]
+    for order in range(2, k + 1):
+        perms = list(_perms(order))
+        for R in combinations(range(P), order):
+            sub = [mat[r] for r in R]
+            for C in combinations(range(P), order):
+                det = 0
+                for sign, perm in perms:
+                    term = sign
+                    for row, j in zip(sub, perm):
+                        term *= row[C[j]]
+                    det += term
+                if det < 0:
+                    return False, R, C, Fraction(det, lcm**order), k < max_order
+    return True, None, None, None, k < max_order
 
 
 entries = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=4))
@@ -223,4 +232,48 @@ def test_pf2_matches_brute_force_minors(leading_zeros, seq):
     v = pf_minor_check(seq, 2)
     w = v.witness
     got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
-    assert got + (v.clamped,) == brute_force_pf2(seq)
+    assert got + (v.clamped,) == brute_force_pf(seq, 2)
+
+
+
+def _product_of_linear_factors(pairs):
+    """Coefficients of the product of (b + c x); PF at every order."""
+    seq = [1]
+    for b, c in pairs:
+        seq = [b * x + c * y for x, y in zip(seq + [0], [0] + seq)]
+    return seq
+
+
+sequences = st.one_of(
+    st.lists(entries, min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3).map(
+        _product_of_linear_factors
+    ),
+)
+
+
+@given(st.integers(2, 4), st.integers(0, 2), sequences, st.integers(0, 1))
+@settings(max_examples=150, deadline=None)
+@example(4, 0, [1, 4, 8, 7], 1)  # PF3, fails at order 4 only
+@example(4, 0, [1, 3, 4, 3], 0)
+@example(3, 1, [1, 3, 3, 1], 0)  # leading zero, PF at every order
+@example(4, 0, [2, 0, 1, 1], 0)  # internal zero
+@example(3, 0, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)], 0)
+@example(4, 2, [0, 0], 0)
+def test_pf_matches_brute_force_minors(order, leading_zeros, seq, trailing_zeros):
+    seq = [0] * leading_zeros + list(seq) + [0] * trailing_zeros
+    v = pf_minor_check(seq, order)
+    w = v.witness
+    got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
+    assert got + (v.clamped,) == brute_force_pf(seq, order)
+
+
+def test_pinned_witnesses():
+    assert pf_minor_check([1, 4, 8, 7, 0], 3).holds
+    v = pf_minor_check([1, 4, 8, 7, 0], 4)
+    assert (v.holds, v.clamped) == (False, False)
+    assert v.witness == MinorWitness((1, 2, 3, 4), (0, 1, 2, 3), Fraction(-8))
+    v = pf_minor_check([1, 3, 4, 3], 4)
+    assert v.witness == MinorWitness((1, 2, 4, 5), (0, 1, 2, 3), Fraction(-1))
+    v = pf_minor_check([1] * 30, 3)
+    assert v.witness == MinorWitness((1, 2, 30), (0, 1, 2), Fraction(-1))
