@@ -8,18 +8,22 @@ verify (census against closed form), report (batch table over n).
 Exit codes: 0 success / property holds, 1 a checked property failed
 (witness printed), 2 usage or input error.  All diagnostics go to
 stderr; results go to stdout or --out.
+
+Each subcommand returns its output text and exit code.  A result is a
+record, an ordered list of (key, value) pairs whose values are ready
+for JSON, exact numbers already strings.  JSON prints it after the
+lattice's type and rank; text prints ``type:<lattice>`` and then one
+``key:value`` line per pair, each value made text by ``_cell``.  Every
+CSV, and report's aligned text table, comes from ``_table``.  ``main``
+alone writes to stdout or --out.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
-from typing import Optional
 
 from .coordinator import (
     CLOSED_FORM_TAGS,
@@ -30,12 +34,11 @@ from .coordinator import (
     coordinator,
     legendre_identity_check,
 )
-from .exactpoly import Polynomial, poly
+from .exactpoly import Polynomial
 from .latticeenum import (
     ExpensiveLatticeError,
     MemoryBudgetExceeded,
     ReconstructionError,
-    census_to_csv,
     enumerate_lengths,
     lattice_spec,
     oracle_verify,
@@ -65,10 +68,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
 def _numstr(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else str(f)
@@ -78,11 +77,46 @@ def _f12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _cell(v) -> str:
+    """Text of one record value: true/false, space-joined lists, k=v pairs."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return " ".join(_cell(x) for x in v)
+    if isinstance(v, dict):
+        return " ".join(f"{k}={_cell(x)}" for k, x in v.items())
+    return str(v)
+
+
+def _ends(iv) -> list[str]:
+    return [_numstr(iv.lo), _numstr(iv.hi)]
+
+
+def _bracketed(xs) -> str:
+    return "[" + ", ".join(str(x) for x in xs) + "]"
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _render(fmt: str, lt: LatticeType, record: list) -> str:
+    """A record as one JSON line, or as type and key:value text lines."""
+    if fmt == "json":
+        return _json_line({"type": lt.tag, "n": lt.rank, **dict(record)})
+    return "".join(f"{k}:{_cell(v)}\n" for k, v in [("type", lt), *record])
+
+
+def _table(cols, rows, pad: bool = False) -> str:
+    """Rows under a header as CSV, or with pad as a space-aligned text table."""
+    cells = [list(cols)] + [[_cell(v) for v in row] for row in rows]
+    if not pad:
+        return "".join(",".join(row) + "\n" for row in cells)
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cols))]
+    return "".join(
+        "  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
+        for row in cells
+    )
 
 
 def _ltype(args) -> LatticeType:
@@ -103,188 +137,134 @@ def _poly_for(lt: LatticeType, allow_expensive: bool) -> Polynomial:
     return recover_coordinator(enumerate_lengths(spec, lt.rank))
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
-
-
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[str, int]:
     lt = _ltype(args)
     h = _poly_for(lt, args.allow_expensive)
     coeffs = [_numstr(c) for c in h.coeffs]
-    if args.format == "json":
-        text = _json_line({"type": lt.tag, "n": lt.rank, "coeffs": coeffs})
-    elif args.format == "csv":
-        text = "k,h_k\n" + "".join(f"{k},{c}\n" for k, c in enumerate(coeffs))
-    else:
-        text = (
-            f"type:{lt}\ndegree:{h.degree}\ncoeffs:" + " ".join(coeffs) + "\n"
-        )
-    _emit(text, args.out)
-    return 0
+    if args.format == "csv":
+        return _table(("k", "h_k"), enumerate(coeffs)), 0
+    record = [("coeffs", coeffs)]
+    if args.format == "text":
+        record.insert(0, ("degree", h.degree))
+    return _render(args.format, lt, record), 0
 
 
 _EXPECT_KEYS = ("real-rooted", "log-concave", "unimodal", "pf")
+# the verdicts analyze's CSV and report's table show, before pf<order>
+_TABLE_COLS = ("degree", "distinct_real", "real_rooted", "log_concave", "unimodal")
 
 
-def _cmd_analyze(args) -> int:
-    lt = _ltype(args)
-    h = _poly_for(lt, args.allow_expensive)
-    coeffs = h.coeffs
+def _verdicts(h: Polynomial, order: int) -> tuple:
+    """The verdicts analyze and report share, and the reports with their witnesses.
+
+    The record holds them in analyze's print order and ends with the
+    ``pf<order>`` verdict.
+    """
     rr = is_real_rooted(h)
-    lc = check_log_concave(coeffs)
-    um = check_unimodal(coeffs)
-    nz = check_no_internal_zeros(coeffs)
-    pf = pf_minor_check(coeffs, args.max_order)
+    lc = check_log_concave(h.coeffs)
+    um = check_unimodal(h.coeffs)
+    pf = pf_minor_check(h.coeffs, order)
+    record = [
+        ("degree", rr.degree),
+        ("distinct_real", rr.distinct_real),
+        ("real_with_multiplicity", rr.real_with_multiplicity),
+        ("real_rooted", rr.is_real_rooted),
+        ("log_concave", lc.holds),
+        ("unimodal", um.holds),
+        (f"pf{order}", pf.holds),
+    ]
+    return record, lc, um, pf
+
+
+def _table_row(record: list) -> list:
+    """The ``_TABLE_COLS`` values of a ``_verdicts`` record, then its pf verdict."""
+    v = dict(record)
+    return [v[c] for c in _TABLE_COLS] + [record[-1][1]]
+
+
+def _cmd_analyze(args) -> tuple[str, int]:
+    lt = _ltype(args)
     order = args.max_order
+    h = _poly_for(lt, args.allow_expensive)
+    record, lc, um, pf = _verdicts(h, order)
     held = {
-        "real-rooted": rr.is_real_rooted,
+        "real-rooted": dict(record)["real_rooted"],
         "log-concave": lc.holds,
         "unimodal": um.holds,
         "pf": pf.holds,
     }
-    failed_expect = args.expect if args.expect and not held[args.expect] else None
-
-    if args.format == "json":
-        obj = {
-            "type": lt.tag,
-            "n": lt.rank,
-            "degree": rr.degree,
-            "distinct_real": rr.distinct_real,
-            "real_with_multiplicity": rr.real_with_multiplicity,
-            "real_rooted": rr.is_real_rooted,
-            "log_concave": lc.holds,
-            "unimodal": um.holds,
-            "no_internal_zeros": nz.holds,
-            "pf": {"order": order, "holds": pf.holds, "clamped": pf.clamped},
+    failed = args.expect if args.expect and not held[args.expect] else None
+    code = 1 if failed else 0
+    if args.format == "csv":
+        cols = ("type", "n", *_TABLE_COLS, f"pf{order}")
+        return _table(cols, [[lt.tag, lt.rank, *_table_row(record)]]), code
+    # analyze alone shows this verdict, just before the pf one
+    record.insert(-1, ("no_internal_zeros", check_no_internal_zeros(h.coeffs).holds))
+    as_json = args.format == "json"
+    if as_json:
+        record[-1] = ("pf", {"order": order, "holds": pf.holds, "clamped": pf.clamped})
+    if lc.witness:
+        w = lc.witness
+        witness = {
+            "index": w.index,
+            "left": _numstr(w.left),
+            "center": _numstr(w.center),
+            "right": _numstr(w.right),
         }
-        if lc.witness:
-            w = lc.witness
-            obj["log_concave_witness"] = {
-                "index": w.index,
-                "left": _numstr(w.left),
-                "center": _numstr(w.center),
-                "right": _numstr(w.right),
-            }
-        if pf.witness:
-            w = pf.witness
-            obj["pf_witness"] = {
-                "rows": list(w.rows),
-                "cols": list(w.cols),
-                "determinant": _numstr(w.determinant),
-            }
-        if failed_expect:
-            obj["expect_failed"] = failed_expect
-        text = _json_line(obj)
-    elif args.format == "csv":
-        text = (
-            f"type,n,degree,distinct_real,real_rooted,log_concave,unimodal,pf{order}\n"
-            f"{lt.tag},{lt.rank},{rr.degree},{rr.distinct_real},"
-            f"{_bool(rr.is_real_rooted)},{_bool(lc.holds)},{_bool(um.holds)},"
-            f"{_bool(pf.holds)}\n"
-        )
-    else:
-        lines = [
-            f"type:{lt}",
-            f"degree:{rr.degree}",
-            f"distinct_real:{rr.distinct_real}",
-            f"real_with_multiplicity:{rr.real_with_multiplicity}",
-            f"real_rooted:{_bool(rr.is_real_rooted)}",
-            f"log_concave:{_bool(lc.holds)}",
-            f"unimodal:{_bool(um.holds)}",
-            f"no_internal_zeros:{_bool(nz.holds)}",
-            f"pf{order}:{_bool(pf.holds)}",
-        ]
-        if lc.witness:
-            w = lc.witness
-            lines.append(
-                f"log_concave_witness:index={w.index} left={_numstr(w.left)} "
-                f"center={_numstr(w.center)} right={_numstr(w.right)}"
-            )
-        if um.witness:
-            w = um.witness
-            lines.append(
-                f"unimodal_witness:descent={w.descent_index} ascent={w.ascent_index}"
-            )
-        if pf.witness:
-            w = pf.witness
-            lines.append(
-                f"pf_witness:rows={w.rows} cols={w.cols} det={_numstr(w.determinant)}"
-            )
-        if failed_expect:
-            lines.append(f"expect_failed:{failed_expect}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 1 if failed_expect else 0
+        record.append(("log_concave_witness", witness))
+    if um.witness and not as_json:
+        w = um.witness
+        witness = {"descent": w.descent_index, "ascent": w.ascent_index}
+        record.append(("unimodal_witness", witness))
+    if pf.witness:
+        w = pf.witness
+        det = _numstr(w.determinant)
+        if as_json:
+            witness = {"rows": list(w.rows), "cols": list(w.cols), "determinant": det}
+        else:
+            witness = f"rows={w.rows} cols={w.cols} det={det}"
+        record.append(("pf_witness", witness))
+    if failed:
+        record.append(("expect_failed", failed))
+    return _render(args.format, lt, record), code
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> tuple[str, int]:
     lt = _ltype(args)
     h = _poly_for(lt, args.allow_expensive)
-    intervals = isolate_real_roots(h, args.width)
+    intervals = [_ends(iv) for iv in isolate_real_roots(h, args.width)]
     brackets = []
     if lt.tag == "D" and lt.rank >= 3:
         for b in d_type_brackets(lt.rank):
-            brackets.append((b, refine_bracket(b, h, args.width)))
+            x = _ends(refine_bracket(b, h, args.width))
+            brackets.append({"j": b.j, "phi": [_f12(b.phi_lo), _f12(b.phi_hi)], "x": x})
+    if args.format == "csv":
+        return _table(("lo", "hi"), intervals), 0
     if args.format == "json":
-        obj = {
-            "type": lt.tag,
-            "n": lt.rank,
-            "intervals": [[_numstr(iv.lo), _numstr(iv.hi)] for iv in intervals],
-            "brackets": [
-                {
-                    "j": b.j,
-                    "phi": [_f12(b.phi_lo), _f12(b.phi_hi)],
-                    "x": [_numstr(iv.lo), _numstr(iv.hi)],
-                }
-                for b, iv in brackets
-            ],
-        }
-        text = _json_line(obj)
-    elif args.format == "csv":
-        text = "lo,hi\n" + "".join(
-            f"{_numstr(iv.lo)},{_numstr(iv.hi)}\n" for iv in intervals
-        )
-    else:
-        lines = [f"type:{lt}", f"distinct_real:{len(intervals)}"]
-        lines += [
-            f"interval:[{_numstr(iv.lo)}, {_numstr(iv.hi)}]" for iv in intervals
-        ]
-        lines += [
-            f"bracket:j={b.j} phi=[{_f12(b.phi_lo)}, {_f12(b.phi_hi)}] "
-            f"x=[{_numstr(iv.lo)}, {_numstr(iv.hi)}]"
-            for b, iv in brackets
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return _render("json", lt, [("intervals", intervals), ("brackets", brackets)]), 0
+    record = [("distinct_real", len(intervals))]
+    record += [("interval", _bracketed(iv)) for iv in intervals]
+    record += [
+        ("bracket", {"j": b["j"], "phi": _bracketed(b["phi"]), "x": _bracketed(b["x"])})
+        for b in brackets
+    ]
+    return _render("text", lt, record), 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[str, int]:
     lt = _ltype(args)
     spec = lattice_spec(lt, args.allow_expensive)
-    census = enumerate_lengths(
-        spec, args.K, memory_budget_mib=args.memory_budget
-    )
+    census = enumerate_lengths(spec, args.K, memory_budget_mib=args.memory_budget)
+    if args.format == "csv":
+        return _table(("k", "S(k)"), enumerate(census.counts)), 0
     if args.format == "json":
-        text = _json_line(
-            {
-                "type": lt.tag,
-                "n": lt.rank,
-                "K": census.K,
-                "counts": [str(c) for c in census.counts],
-            }
-        )
-    elif args.format == "csv":
-        text = census_to_csv(census)
-    else:
-        text = f"type:{lt}\n" + "".join(
-            f"S({k}) = {c}\n" for k, c in enumerate(census.counts)
-        )
-    _emit(text, args.out)
-    return 0
+        counts = [str(c) for c in census.counts]
+        return _render("json", lt, [("K", census.K), ("counts", counts)]), 0
+    lines = "".join(f"S({k}) = {c}\n" for k, c in enumerate(census.counts))
+    return f"type:{lt}\n" + lines, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     lt = _ltype(args)
     rep = oracle_verify(
         lt,
@@ -293,126 +273,49 @@ def _cmd_verify(args) -> int:
         memory_budget_mib=args.memory_budget,
     )
     legendre = legendre_identity_check(lt.rank) if lt.tag == "A" else None
-    ok = rep.matched and legendre is not False
-    if args.format == "json":
-        obj = {
-            "type": lt.tag,
-            "n": lt.rank,
-            "K": rep.K,
-            "counts": [str(c) for c in rep.census.counts],
-            "matched": rep.matched,
-        }
-        if rep.closed_form is not None:
-            obj["closed_form"] = [_numstr(c) for c in rep.closed_form.coeffs]
-        if rep.recovered is not None:
-            obj["recovered"] = [_numstr(c) for c in rep.recovered.coeffs]
-        if rep.first_mismatch is not None:
-            k, exp, got = rep.first_mismatch
-            obj["first_mismatch"] = {"k": k, "expected": str(exp), "got": str(got)}
-        if rep.detail:
-            obj["detail"] = rep.detail
-        if legendre is not None:
-            obj["legendre_identity"] = legendre
-        text = _json_line(obj)
-    elif args.format == "csv":
-        text = census_to_csv(rep.census)
-    else:
-        lines = [
-            f"type:{lt}",
-            f"K:{rep.K}",
-            "census:[" + ", ".join(str(c) for c in rep.census.counts) + "]",
-            f"matched:{_bool(rep.matched)}",
-        ]
-        if rep.closed_form is not None:
-            lines.append(
-                "closed_form:" + " ".join(_numstr(c) for c in rep.closed_form.coeffs)
-            )
-        if rep.recovered is not None:
-            lines.append(
-                "recovered:" + " ".join(_numstr(c) for c in rep.recovered.coeffs)
-            )
-        if rep.first_mismatch is not None:
-            k, exp, got = rep.first_mismatch
-            lines.append(f"first_mismatch:k={k} expected={exp} got={got}")
-        if rep.detail:
-            lines.append(f"detail:{rep.detail}")
-        if legendre is not None:
-            lines.append(f"legendre_identity:{_bool(legendre)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0 if ok else 1
+    code = 0 if rep.matched and legendre is not False else 1
+    counts = rep.census.counts
+    if args.format == "csv":
+        return _table(("k", "S(k)"), enumerate(counts)), code
+    record = [
+        ("K", rep.K),
+        ("counts", [str(c) for c in counts])
+        if args.format == "json" else ("census", _bracketed(counts)),
+        ("matched", rep.matched),
+    ]
+    if rep.closed_form is not None:
+        record.append(("closed_form", [_numstr(c) for c in rep.closed_form.coeffs]))
+    if rep.recovered is not None:
+        record.append(("recovered", [_numstr(c) for c in rep.recovered.coeffs]))
+    if rep.first_mismatch is not None:
+        k, exp, got = rep.first_mismatch
+        mismatch = {"k": k, "expected": str(exp), "got": str(got)}
+        record.append(("first_mismatch", mismatch))
+    if rep.detail:
+        record.append(("detail", rep.detail))
+    if legendre is not None:
+        record.append(("legendre_identity", legendre))
+    return _render(args.format, lt, record), code
 
 
-def _report_row(tag: str, n: int) -> dict:
-    lt = LatticeType(tag, n)
-    h = coordinator(lt).poly
-    rr = is_real_rooted(h)
-    lc = check_log_concave(h.coeffs)
-    um = check_unimodal(h.coeffs)
-    pf = pf_minor_check(h.coeffs, 3)
-    return {
-        "n": n,
-        "degree": rr.degree,
-        "distinct_real": rr.distinct_real,
-        "real_rooted": rr.is_real_rooted,
-        "log_concave": lc.holds,
-        "unimodal": um.holds,
-        "pf3": pf.holds,
-    }
-
-
-_REPORT_COLS = ("n", "degree", "distinct_real", "real_rooted", "log_concave", "unimodal", "pf3")
-
-
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[str, int]:
     tag = args.type
     if tag not in CLOSED_FORM_TAGS:
         raise ValueError("report ranges over n and needs a type in A/B/C/D")
     if args.n is None:
         raise ValueError("--n is required for report")
     lo = MIN_RANK[tag]
-    ns = list(range(lo, args.n + 1))
+    ns = range(lo, args.n + 1)
     if not ns:
         raise ValueError(f"type {tag} needs n >= {lo}")
-    threads = int(os.environ.get("COORDLAT_THREADS", "0") or "0")
-    if threads >= 2:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(partial(_report_row, tag), ns))
-    else:
-        rows = [_report_row(tag, n) for n in ns]
-    rows.sort(key=lambda r: r["n"])
+    cols = ("n", *_TABLE_COLS, "pf3")
+    rows = []
+    for n in ns:
+        record = _verdicts(coordinator(LatticeType(tag, n)).poly, 3)[0]
+        rows.append([n, *_table_row(record)])
     if args.format == "json":
-        text = _json_line({"type": tag, "rows": rows})
-    else:
-        cells = [
-            [
-                str(r["n"]),
-                str(r["degree"]),
-                str(r["distinct_real"]),
-                _bool(r["real_rooted"]),
-                _bool(r["log_concave"]),
-                _bool(r["unimodal"]),
-                _bool(r["pf3"]),
-            ]
-            for r in rows
-        ]
-        if args.format == "csv":
-            text = ",".join(_REPORT_COLS) + "\n" + "".join(
-                ",".join(row) + "\n" for row in cells
-            )
-        else:
-            widths = [
-                max(len(col), *(len(row[i]) for row in cells))
-                for i, col in enumerate(_REPORT_COLS)
-            ]
-            header = "  ".join(c.ljust(w) for c, w in zip(_REPORT_COLS, widths))
-            body = "".join(
-                "  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
-                for row in cells
-            )
-            text = header.rstrip() + "\n" + body
-    _emit(text, args.out)
-    return 0
+        return _json_line({"type": tag, "rows": [dict(zip(cols, r)) for r in rows]}), 0
+    return _table(cols, rows, pad=args.format == "text"), 0
 
 
 def _add_common(sp, n_required: bool = False) -> None:
@@ -472,11 +375,13 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
-    except MemoryBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        text, code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
     except (
+        MemoryBudgetExceeded,
         UnsupportedTypeError,
         ExpensiveLatticeError,
         ReconstructionError,
@@ -486,6 +391,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

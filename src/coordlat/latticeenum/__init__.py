@@ -41,7 +41,6 @@ __all__ = [
     "parse_generator_table",
     "save_generator_table",
     "load_generator_table",
-    "census_to_csv",
 ]
 
 # a set slot holds a cached hash and a pointer next to the int it keys
@@ -440,10 +439,3 @@ def save_generator_table(spec: LatticeSpec, path) -> None:
 
 def load_generator_table(path) -> LatticeSpec:
     return parse_generator_table(Path(path).read_text())
-
-
-def census_to_csv(census: LengthCensus) -> str:
-    lines = ["k,S(k)"]
-    for k, s in enumerate(census.counts):
-        lines.append(f"{k},{s}")
-    return "\n".join(lines) + "\n"

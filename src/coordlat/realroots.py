@@ -99,7 +99,6 @@ class RootReport:
     distinct_real: int
     real_with_multiplicity: int
     is_real_rooted: bool
-    isolating_intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self) -> None:
         if self.real_with_multiplicity > self.degree:
@@ -393,7 +392,7 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     return counter.above(lo, s_lo) - counter.above(hi, _sign_at(sf, hi)) + (s_lo == 0)
 
 
-def is_real_rooted(p: Polynomial, isolate: bool = False) -> RootReport:
+def is_real_rooted(p: Polynomial) -> RootReport:
     """Decide whether every root of p is real, counting multiplicities.
 
     The distinct count comes from the squarefree factors, each
@@ -404,15 +403,14 @@ def is_real_rooted(p: Polynomial, isolate: bool = False) -> RootReport:
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree < 1:
-        return RootReport(0, 0, 0, True, ())
+        return RootReport(0, 0, 0, True)
     distinct = 0
     weighted = 0
     for f, m in squarefree_decomposition(p):
         k = _root_counter(list(primitive_integer_coeffs(f))).total
         distinct += k
         weighted += m * k
-    intervals = isolate_real_roots(p) if isolate else ()
-    return RootReport(p.degree, distinct, weighted, weighted == p.degree, intervals)
+    return RootReport(p.degree, distinct, weighted, weighted == p.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +487,8 @@ def isolate_real_roots(
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if width <= 0:
+        raise ValueError("width must be positive")
     if p.degree < 1:
         return ()
     sf = _squarefree_int(p)

@@ -137,14 +137,6 @@ def test_report_csv(capsys):
     assert lines[-1].startswith("4,4,4,true")
 
 
-def test_report_parallel_matches_sequential(capsys, monkeypatch):
-    code, seq, _ = run(capsys, "report", "--type", "A", "--n", "6", "--format", "csv")
-    monkeypatch.setenv("COORDLAT_THREADS", "2")
-    code2, par, _ = run(capsys, "report", "--type", "A", "--n", "6", "--format", "csv")
-    assert code == code2 == 0
-    assert seq == par
-
-
 def test_out_writes_identical_bytes(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(
@@ -163,6 +155,8 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "gen", "--type", "A", "--n", "0")[0] == 2
     assert run(capsys, "enumerate", "--type", "A", "--n", "2")[0] == 2  # missing --K
     assert run(capsys, "roots", "--type", "A", "--n", "2", "--width", "abc")[0] == 2
+    assert run(capsys, "roots", "--type", "A", "--n", "2", "--width", "0")[0] == 2
+    assert run(capsys, "roots", "--type", "A", "--n", "2", "--width=-1/2")[0] == 2
     assert run(capsys, "gen", "--type", "A", "--n", "2", "--bogus")[0] == 2
     assert run(capsys, "report", "--type", "G2")[0] == 2
 
@@ -190,3 +184,224 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"type":"D","n":4,"coeffs":["1","20","54","20","1"]}\n'
+
+
+# Exit code and exact stdout of each subcommand in each format.  The
+# benchmark digests pin only text output, so these guard the json and
+# csv bytes as well.
+EXACT = [
+    ('gen --type A --n 2', 'json', 0, '{"type":"A","n":2,"coeffs":["1","4","1"]}\n'),
+    ('gen --type A --n 2', 'csv', 0, (
+        'k,h_k\n'
+        '0,1\n'
+        '1,4\n'
+        '2,1\n'
+    )),
+    ('gen --type A --n 2', 'text', 0, (
+        'type:A2\n'
+        'degree:2\n'
+        'coeffs:1 4 1\n'
+    )),
+    ('gen --type G2', 'json', 0, '{"type":"G2","n":2,"coeffs":["1","10","7"]}\n'),
+    ('gen --type G2', 'csv', 0, (
+        'k,h_k\n'
+        '0,1\n'
+        '1,10\n'
+        '2,7\n'
+    )),
+    ('gen --type G2', 'text', 0, (
+        'type:G2\n'
+        'degree:2\n'
+        'coeffs:1 10 7\n'
+    )),
+    ('analyze --type D --n 5', 'json', 0, (
+        '{"type":"D","n":5,"degree":5,"distinct_real":5,'
+        '"real_with_multiplicity":5,"real_rooted":true,"log_concave":true,'
+        '"unimodal":true,"no_internal_zeros":true,"pf":{"order":3,"holds":true,'
+        '"clamped":false}}\n'
+    )),
+    ('analyze --type D --n 5', 'csv', 0, (
+        'type,n,degree,distinct_real,real_rooted,log_concave,unimodal,pf3\n'
+        'D,5,5,5,true,true,true,true\n'
+    )),
+    ('analyze --type D --n 5', 'text', 0, (
+        'type:D5\n'
+        'degree:5\n'
+        'distinct_real:5\n'
+        'real_with_multiplicity:5\n'
+        'real_rooted:true\n'
+        'log_concave:true\n'
+        'unimodal:true\n'
+        'no_internal_zeros:true\n'
+        'pf3:true\n'
+    )),
+    ('analyze --type B --n 16 --expect real-rooted', 'json', 1, (
+        '{"type":"B","n":16,"degree":16,"distinct_real":14,'
+        '"real_with_multiplicity":14,"real_rooted":false,"log_concave":true,'
+        '"unimodal":true,"no_internal_zeros":true,"pf":{"order":3,"holds":true,'
+        '"clamped":false},"expect_failed":"real-rooted"}\n'
+    )),
+    ('analyze --type B --n 16 --expect real-rooted', 'csv', 1, (
+        'type,n,degree,distinct_real,real_rooted,log_concave,unimodal,pf3\n'
+        'B,16,16,14,false,true,true,true\n'
+    )),
+    ('analyze --type B --n 16 --expect real-rooted', 'text', 1, (
+        'type:B16\n'
+        'degree:16\n'
+        'distinct_real:14\n'
+        'real_with_multiplicity:14\n'
+        'real_rooted:false\n'
+        'log_concave:true\n'
+        'unimodal:true\n'
+        'no_internal_zeros:true\n'
+        'pf3:true\n'
+        'expect_failed:real-rooted\n'
+    )),
+    ('roots --type D --n 3', 'json', 0, (
+        '{"type":"D","n":3,"intervals":[["-128997/16384","-64493/8192"],'
+        '["-8195/8192","-16379/16384"],["-1045/8192","-2079/16384"]],'
+        '"brackets":[{"j":0,"phi":["0","1.0471975512"],'
+        '"x":["-53876069761261/422212465065984",'
+        '"-71468255805757/562949953421312"]},{"j":1,"phi":["1.0471975512",'
+        '"2.09439510239"],"x":["-1537/1536","-6143/6144"]},{"j":2,'
+        '"phi":["2.09439510239","3.14159265359"],"x":["-64497/8192",'
+        '"-32245/4096"]}]}\n'
+    )),
+    ('roots --type D --n 3', 'csv', 0, (
+        'lo,hi\n'
+        '-128997/16384,-64493/8192\n'
+        '-8195/8192,-16379/16384\n'
+        '-1045/8192,-2079/16384\n'
+    )),
+    ('roots --type D --n 3', 'text', 0, (
+        'type:D3\n'
+        'distinct_real:3\n'
+        'interval:[-128997/16384, -64493/8192]\n'
+        'interval:[-8195/8192, -16379/16384]\n'
+        'interval:[-1045/8192, -2079/16384]\n'
+        'bracket:j=0 phi=[0, 1.0471975512] x=[-53876069761261/422212465065984, '
+        '-71468255805757/562949953421312]\n'
+        'bracket:j=1 phi=[1.0471975512, 2.09439510239] x=[-1537/1536, '
+        '-6143/6144]\n'
+        'bracket:j=2 phi=[2.09439510239, 3.14159265359] x=[-64497/8192, '
+        '-32245/4096]\n'
+    )),
+    ('roots --type D --n 2', 'json', 0, (
+        '{"type":"D","n":2,"intervals":[["-2049/2048","-4095/4096"]],'
+        '"brackets":[]}\n'
+    )),
+    ('roots --type D --n 2', 'csv', 0, (
+        'lo,hi\n'
+        '-2049/2048,-4095/4096\n'
+    )),
+    ('roots --type D --n 2', 'text', 0, (
+        'type:D2\n'
+        'distinct_real:1\n'
+        'interval:[-2049/2048, -4095/4096]\n'
+    )),
+    ('enumerate --type G2 --K 4', 'json', 0, (
+        '{"type":"G2","n":2,"K":4,"counts":["1","12","30","48","66"]}\n'
+    )),
+    ('enumerate --type G2 --K 4', 'csv', 0, (
+        'k,S(k)\n'
+        '0,1\n'
+        '1,12\n'
+        '2,30\n'
+        '3,48\n'
+        '4,66\n'
+    )),
+    ('enumerate --type G2 --K 4', 'text', 0, (
+        'type:G2\n'
+        'S(0) = 1\n'
+        'S(1) = 12\n'
+        'S(2) = 30\n'
+        'S(3) = 48\n'
+        'S(4) = 66\n'
+    )),
+    ('verify --type A --n 2 --K 3', 'json', 0, (
+        '{"type":"A","n":2,"K":3,"counts":["1","6","12","18"],"matched":true,'
+        '"closed_form":["1","4","1"],"recovered":["1","4","1"],'
+        '"legendre_identity":true}\n'
+    )),
+    ('verify --type A --n 2 --K 3', 'csv', 0, (
+        'k,S(k)\n'
+        '0,1\n'
+        '1,6\n'
+        '2,12\n'
+        '3,18\n'
+    )),
+    ('verify --type A --n 2 --K 3', 'text', 0, (
+        'type:A2\n'
+        'K:3\n'
+        'census:[1, 6, 12, 18]\n'
+        'matched:true\n'
+        'closed_form:1 4 1\n'
+        'recovered:1 4 1\n'
+        'legendre_identity:true\n'
+    )),
+    ('verify --type F4 --K 4', 'json', 0, (
+        '{"type":"F4","n":4,"K":4,"counts":["1","48","384","1392","3456"],'
+        '"matched":true,"recovered":["1","44","198","140","1"]}\n'
+    )),
+    ('verify --type F4 --K 4', 'csv', 0, (
+        'k,S(k)\n'
+        '0,1\n'
+        '1,48\n'
+        '2,384\n'
+        '3,1392\n'
+        '4,3456\n'
+    )),
+    ('verify --type F4 --K 4', 'text', 0, (
+        'type:F4\n'
+        'K:4\n'
+        'census:[1, 48, 384, 1392, 3456]\n'
+        'matched:true\n'
+        'recovered:1 44 198 140 1\n'
+    )),
+    ('verify --type G2 --K 1', 'json', 1, (
+        '{"type":"G2","n":2,"K":1,"counts":["1","12"],"matched":false,'
+        '"detail":"census depth 1 is below the rank 2"}\n'
+    )),
+    ('verify --type G2 --K 1', 'csv', 1, (
+        'k,S(k)\n'
+        '0,1\n'
+        '1,12\n'
+    )),
+    ('verify --type G2 --K 1', 'text', 1, (
+        'type:G2\n'
+        'K:1\n'
+        'census:[1, 12]\n'
+        'matched:false\n'
+        'detail:census depth 1 is below the rank 2\n'
+    )),
+    ('report --type D --n 4', 'json', 0, (
+        '{"type":"D","rows":[{"n":2,"degree":2,"distinct_real":1,'
+        '"real_rooted":true,"log_concave":true,"unimodal":true,"pf3":true},'
+        '{"n":3,"degree":3,"distinct_real":3,"real_rooted":true,'
+        '"log_concave":true,"unimodal":true,"pf3":true},{"n":4,"degree":4,'
+        '"distinct_real":4,"real_rooted":true,"log_concave":true,"unimodal":true,'
+        '"pf3":true}]}\n'
+    )),
+    ('report --type D --n 4', 'csv', 0, (
+        'n,degree,distinct_real,real_rooted,log_concave,unimodal,pf3\n'
+        '2,2,1,true,true,true,true\n'
+        '3,3,3,true,true,true,true\n'
+        '4,4,4,true,true,true,true\n'
+    )),
+    ('report --type D --n 4', 'text', 0, (
+        'n  degree  distinct_real  real_rooted  log_concave  unimodal  pf3\n'
+        '2  2       1              true         true         true      true\n'
+        '3  3       3              true         true         true      true\n'
+        '4  4       4              true         true         true      true\n'
+    )),
+]
+
+
+
+@pytest.mark.parametrize(
+    "argv,fmt,code,want",
+    EXACT,
+    ids=[f"{a.replace(' --', ' ').replace(' ', '-')}-{f}" for a, f, *_ in EXACT],
+)
+def test_exact_bytes(capsys, argv, fmt, code, want):
+    assert run(capsys, *argv.split(), "--format", fmt) == (code, want, "")

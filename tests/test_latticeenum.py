@@ -13,7 +13,6 @@ from coordlat.latticeenum import (
     LengthCensus,
     MemoryBudgetExceeded,
     ReconstructionError,
-    census_to_csv,
     enumerate_lengths,
     format_generator_table,
     lattice_spec,
@@ -247,11 +246,6 @@ def test_generator_table_rejects_garbage():
         parse_generator_table("")
     with pytest.raises(ValueError):
         parse_generator_table("dim=x rank=1 scale=1\n1\n-1\n")
-
-
-def test_census_csv(tmp_path):
-    census = enumerate_lengths(lattice_spec(lt("A", 2)), 3)
-    assert census_to_csv(census) == "k,S(k)\n0,1\n1,6\n2,12\n3,18\n"
 
 
 @given(st.integers(1, 3), st.integers(0, 5))

@@ -111,6 +111,15 @@ def test_isolation_of_cubic_inside_window():
     assert ivs[0].lo < ivs[1].lo < ivs[2].lo
 
 
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 2)])
+def test_width_must_be_positive(width):
+    # bisection can never get an interval below a width of zero or less
+    with pytest.raises(ValueError, match="width must be positive"):
+        isolate_real_roots(poly([-2, 0, 1]), width)
+    with pytest.raises(ValueError, match="width must be positive"):
+        refine_bracket(Interval(Fraction(1), Fraction(2)), poly([-2, 0, 1]), width)
+
+
 def test_refine_to_width_around_integer_root():
     h = h_of("D", 3)
     ivs = isolate_real_roots(h)
