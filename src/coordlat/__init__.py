@@ -1,7 +1,8 @@
 """Coordinator polynomials of root lattices, with exact root location.
 
 Closed-form construction for the classical families, root counting and
-isolation certified by sign ladders (types A, C, D) or Sturm chains,
+isolation certified by sign ladders (types A, C, D), sign ladders plus
+exact root discs (type B) or Sturm chains,
 trigonometric bracketing for the type D family,
 coefficient diagnostics (log-concavity, unimodality, truncated total
 positivity), and a brute-force word-length enumerator that cross-checks

@@ -2,9 +2,9 @@
 
 Every count is certified exactly, by one of two devices.
 
-A ladder is a decreasing list of n+1 rationals at which a degree-n
-polynomial takes exact, strictly alternating signs (Horner evaluation
-in integers); n sign changes prove n distinct real roots, one between
+A ladder is a decreasing list of r+1 rationals at which a polynomial
+takes exact, strictly alternating signs (Horner evaluation in
+integers); r sign changes prove r distinct real roots, one between
 each pair of adjacent rungs.  The closed forms of types A, C and D
 come with float root separators: -tan^2(j pi / 2n) for C and D, and
 x = (t-1)/(t+1) at t = cos(k pi / (n + 1/2)) for A, from the Legendre
@@ -14,11 +14,24 @@ rational with denominator at most 2^32 and its sign checked exactly,
 and a rung that fails is moved toward a neighbour or the polynomial
 falls back to Sturm.
 
-Every other polynomial (type B, products, exceptional types, custom
-input) is counted with a Sturm chain built from its squarefree part by
-a primitive pseudo-remainder sequence, which keeps every element an
-exact positive rational multiple of the textbook chain element, so
-sign variations are unchanged.
+Type B has complex roots from rank 16 on (every rank checked, up to
+200), so its ladder is paired with root discs.  Under x = -tan^2(theta)
+the closed form becomes
+g(theta) = cos((2n+1) theta) + 2n sin^2 theta cos theta cos^(n-1)(2 theta)
+on (0, pi/2), up to the positive factor cos^(2n+1) theta.  The sign
+changes of g on a float grid give the rungs; complex Newton on g, from
+the dips of |g| that do not cross zero, gives one guess per complex
+pair.  Each guess is proven by Pellet's test for one root (Rouche) on a
+Gaussian-integer Taylor shift, with integer square-root bounds on the
+moduli, in a disc that misses the real axis; m pairwise disjoint discs
+prove 2m non-real roots.  Only when r + 2m is the degree does the
+ladder certify the count; otherwise B falls back to Sturm.
+
+Every other polynomial (products, exceptional types, custom input) is
+counted with a Sturm chain built from its squarefree part by a
+primitive pseudo-remainder sequence, which keeps every element an exact
+positive rational multiple of the textbook chain element, so sign
+variations are unchanged.
 
 Isolation bisects on root counts from whichever device certified the
 polynomial; once a subinterval holds a single root it is refined on
@@ -31,9 +44,12 @@ so each window (j pi / n, (j+1) pi / n) brackets exactly one root.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Callable
 
 from .coordinator import _CLOSED_FORMS, MIN_RANK, LatticeType, coordinator
 from .exactpoly import (
@@ -308,16 +324,222 @@ def _legendre_separators(n: int) -> list[float]:
     return out
 
 
-_SEPARATORS = {"A": _legendre_separators, "C": _tan_separators, "D": _tan_separators}
+def _b_newton(n: int, theta: complex) -> complex | None:
+    """Complex Newton on g(theta) = h_B(-tan^2 theta) cos^(2n+1) theta.
+
+    With x = -tan^2 theta, the even slice of (1+x)^(2n+1) becomes
+    cos((2n+1) theta) / cos^(2n+1) theta and 1 + x becomes
+    cos(2 theta) / cos^2 theta, so
+    g = cos((2n+1) theta) + 2n sin^2 theta cos theta cos^(n-1)(2 theta).
+    Returns None when the iteration does not settle.
+    """
+    k = 2 * n + 1
+    try:
+        for _ in range(50):
+            s, co, c2 = cmath.sin(theta), cmath.cos(theta), cmath.cos(2 * theta)
+            pw = c2 ** (n - 2)
+            g = cmath.cos(k * theta) + 2 * n * s * s * co * c2 * pw
+            dg = -k * cmath.sin(k * theta) + 2 * n * pw * (
+                (2 * s * co * co - s**3) * c2 - 2 * (n - 1) * s * s * co * cmath.sin(2 * theta)
+            )
+            step = g / dg
+            theta -= step
+            if abs(step) < 1e-13:
+                return theta
+    except (ZeroDivisionError, OverflowError):
+        pass
+    return None
+
+
+def _b_proposal(n: int) -> tuple[list[float], list[complex]]:
+    """Float separators and complex-root guesses for h_B of degree n.
+
+    g is sampled at 64 (2n+1) points of (0, pi/2); samples where |g|
+    is below float noise are dropped (near pi/2 the two terms of g
+    cancel).  The separators are -tan^2 of the midpoints between
+    consecutive sign changes.  Each local minimum of |g| without a sign
+    change seeds complex Newton at a root of the parabola through the
+    three samples around it; every distinct non-real hit x, taken with
+    Im x > 0, is one guess for a complex-conjugate pair.
+    """
+    k = 2 * n + 1
+    steps = 64 * k
+    h = math.pi / (2 * steps)
+    noise = 2.0**-46 * k
+    cos = math.cos
+    roots: list[float] = []
+    dips = []
+    # the last two samples kept, streamed so that no sample list is stored
+    t0 = g0 = t1 = g1 = None
+    for i in range(1, steps):
+        t = i * h
+        co = cos(t)
+        cc = co * co
+        tail = 2 * n * (1 - cc) * co * (2 * cc - 1) ** (n - 1)
+        g = cos(k * t) + tail
+        if abs(g) <= noise * (1 + abs(tail)):
+            continue
+        if g1 is not None:
+            if (g1 > 0) != (g > 0):
+                roots.append((t1 + t) / 2)
+            elif g0 is not None and (g0 > 0) == (g1 > 0) and abs(g0) > abs(g1) <= abs(g):
+                dips.append((t0, g0, t1, g1, t, g))
+        t0, g0, t1, g1 = t1, g1, t, g
+    separators = [-math.tan((a + b) / 2) ** 2 for a, b in zip(roots, roots[1:])]
+    guesses: list[complex] = []
+    for t0, g0, t1, g1, t2, g2 in dips:
+        # g ~ g1 + b (t - t1) + a (t - t1)^2 through the three samples
+        a = ((g2 - g1) / (t2 - t1) - (g1 - g0) / (t1 - t0)) / (t2 - t0)
+        b = (g1 - g0) / (t1 - t0) + a * (t1 - t0)
+        theta = _b_newton(n, t1 + (-b + cmath.sqrt(b * b - 4 * a * g1)) / (2 * a))
+        if theta is None:
+            continue
+        try:
+            x = -cmath.tan(theta) ** 2
+        except OverflowError:
+            continue
+        x = complex(x.real, abs(x.imag))
+        if not cmath.isfinite(x) or x.imag <= 1e-9 * abs(x):
+            continue
+        if all(abs(x - y) > 1e-6 * abs(x) for y in guesses):
+            guesses.append(x)
+    return separators, guesses
+
+
+@dataclass(frozen=True)
+class _Disc:
+    """Open disc with center (u + iv) / 2^s and radius 2^(e-s), e >= 0."""
+
+    u: int
+    v: int
+    s: int
+    e: int
+
+
+def _ceil_sqrt(m: int) -> int:
+    r = math.isqrt(m)
+    return r if r * r == m else r + 1
+
+
+def _shift_bounds(c: list[int], u: int, v: int, s: int) -> tuple[int, list[int]]:
+    """floor |A_1| and ceil |A_j| for the Taylor coefficients A_j of P at u + iv.
+
+    P(y) = 2^(s n) c(y / 2^s) has integer coefficients, and P(u + iv + t)
+    = sum A_j t^j has Gaussian-integer ones, from n rounds of synthetic
+    division by t - (u + iv).
+    """
+    n = len(c) - 1
+    re = [ck << (s * (n - k)) for k, ck in enumerate(c)]
+    im = [0] * (n + 1)
+    for i in range(n):
+        ar, ai = re[n], im[n]
+        for j in range(n - 1, i - 1, -1):
+            ar, ai = re[j] + u * ar - v * ai, im[j] + u * ai + v * ar
+            re[j], im[j] = ar, ai
+    mod2 = [a * a + b * b for a, b in zip(re, im)]
+    return math.isqrt(mod2[1]), [_ceil_sqrt(m) for m in mod2]
+
+
+def _pellet(lo1: int, hi: list[int], e: int) -> bool:
+    """Pellet's test for one root in |t| < 2^e: |A_1| R > |A_0| + sum_{j>=2} |A_j| R^j."""
+    return lo1 << e > hi[0] + sum(hi[j] << (j * e) for j in range(2, len(hi)))
+
+
+def _disc_holds(c: list[int], d: _Disc) -> bool:
+    """d misses the real axis and, by Rouche, holds exactly one root of c."""
+    return 1 << d.e < d.v and _pellet(*_shift_bounds(c, d.u, d.v, d.s), d.e)
+
+
+def _disjoint(discs: list[_Disc]) -> bool:
+    """No two discs meet; centers and radii compared exactly on a common grid."""
+    for i, a in enumerate(discs):
+        for b in discs[i + 1 :]:
+            s = max(a.s, b.s)
+            du = (a.u << (s - a.s)) - (b.u << (s - b.s))
+            dv = (a.v << (s - a.s)) - (b.v << (s - b.s))
+            r = (1 << (a.e + s - a.s)) + (1 << (b.e + s - b.s))
+            if du * du + dv * dv <= r * r:
+                return False
+    return True
+
+
+def _root_disc(c: list[int], x: complex, spacing: float) -> _Disc | None:
+    """The smallest proven disc 2^(e-s) around the guess x, or None.
+
+    spacing estimates the distance from x to the real axis and to every
+    other root.  The center is rounded to the grid 2^-s with 2^-s at
+    most spacing / 16n, so a radius of a few grid steps stays well
+    inside the spacing / 4n that Pellet's test tolerates.
+    """
+    n = len(c) - 1
+    s = max(0, math.ceil(math.log2(16 * n / spacing)))
+    u, v = (round(Fraction(t) * 2**s) for t in (x.real, x.imag))
+    lo1, hi = _shift_bounds(c, u, v, s)
+    e = max(0, hi[0].bit_length() - lo1.bit_length() + 1)
+    while 1 << e < v:
+        if _pellet(lo1, hi, e):
+            return _Disc(u, v, s, e)
+        e += 1
+    return None
+
+
+def _b_certificate(c: list[int]) -> tuple[list[float], list[_Disc]]:
+    """Separators for the real roots of h_B and exact discs for its complex pairs.
+
+    Each disc lies in the upper half-plane and holds exactly one root,
+    so m pairwise disjoint discs prove 2m non-real roots, the conjugates
+    included.  Any guess without a proven disc, or two discs that meet,
+    leaves no discs at all, so the count cannot close.
+    """
+    separators, guesses = _b_proposal(len(c) - 1)
+    discs = []
+    for x in guesses:
+        # the separators stand in for the real roots they separate
+        others = [abs(x - y) for y in separators + guesses if y != x]
+        d = _root_disc(c, x, min([x.imag] + others))
+        if d is None:
+            return separators, []
+        discs.append(d)
+    return separators, discs if _disjoint(discs) else []
+
+
+def _ladder_only(
+    separators: Callable[[int], list[float]]
+) -> Callable[[list[int]], tuple[list[float], list[_Disc]]]:
+    return lambda c: (separators(len(c) - 1), [])
+
+
+# per family: float separators for the real roots and exact discs for
+# the others; B1 = A1 and B2 = C2 keep the plain ladders
+_CERTIFICATES = {
+    "A": _ladder_only(_legendre_separators),
+    "C": _ladder_only(_tan_separators),
+    "D": _ladder_only(_tan_separators),
+    "B": _b_certificate,
+}
+
+
+@lru_cache(maxsize=256)
+def _closed_form(tag: str, n: int) -> tuple[int, ...]:
+    return tuple(int(v) for v in _CLOSED_FORMS[tag](n).coeffs)
 
 
 def _certified_ladder(c: list[int]) -> list[Fraction] | None:
-    """Ladder of c when c is the A, C or D closed form of its degree and it certifies."""
+    """Ladder of c when c is a closed form of its degree and the count closes.
+
+    The r + 1 rungs prove r distinct real roots and the m discs 2m
+    non-real ones; when r + 2m is the degree, each ladder window holds
+    exactly one root and no real root lies outside the ladder.
+    """
     n = len(c) - 1
-    for tag, separators in _SEPARATORS.items():
-        if n >= MIN_RANK[tag] and list(_CLOSED_FORMS[tag](n).coeffs) == c:
+    key = tuple(c)
+    for tag, certificate in _CERTIFICATES.items():
+        if n >= MIN_RANK[tag] and _closed_form(tag, n) == key:
+            separators, discs = certificate(c)
+            if len(separators) + 1 + 2 * len(discs) != n:
+                return None
             try:
-                return _ladder(c, separators(n))
+                return _ladder(c, separators)
             except BracketingError:
                 return None
     return None
@@ -395,10 +617,14 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
 def is_real_rooted(p: Polynomial) -> RootReport:
     """Decide whether every root of p is real, counting multiplicities.
 
-    The distinct count comes from the squarefree factors, each
-    certified by a ladder or counted by its Sturm chain; the
-    multiplicity-weighted count uses the factor multiplicities, and p
-    is real-rooted exactly when that weighted count reaches the degree.
+    The distinct count comes from the squarefree factors.  A closed form
+    of type A, C or D is certified by a ladder alone; one of type B by a
+    ladder for its real roots plus disjoint Pellet discs, one for each
+    complex-conjugate pair, whose counts add up to the degree; any other
+    factor, or a certificate that does not close, is counted by its
+    Sturm chain.  The multiplicity-weighted count uses the factor
+    multiplicities, and p is real-rooted exactly when that weighted
+    count reaches the degree.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")

@@ -114,11 +114,10 @@ def check_unimodal(seq: Sequence) -> SequenceVerdict:
 
 def check_no_internal_zeros(seq: Sequence) -> SequenceVerdict:
     """No zero entry strictly between the first and last nonzero entries."""
-    vals = _as_fractions(seq)
-    support = [i for i, v in enumerate(vals) if v != 0]
+    support = [i for i, v in enumerate(seq) if v != 0]
     if len(support) >= 2:
         for i in range(support[0] + 1, support[-1]):
-            if vals[i] == 0:
+            if seq[i] == 0:
                 return SequenceVerdict(
                     "no_internal_zeros", False, InternalZeroWitness(i)
                 )

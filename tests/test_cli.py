@@ -1,7 +1,9 @@
 """Command-line behavior: formats, exit codes, file output."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,10 +179,15 @@ def test_memory_budget_exit(capsys):
 
 
 def test_console_script_subprocess():
+    # the child does not see pytest's pythonpath setting, so hand it src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coordlat.cli", "gen", "--type", "D", "--n", "4", "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"type":"D","n":4,"coeffs":["1","20","54","20","1"]}\n'

@@ -32,6 +32,10 @@ def h_of(tag, n):
     return coordinator(LatticeType(tag, n)).poly
 
 
+def b_coeffs(n):
+    return list(primitive_integer_coeffs(h_of("B", n)))
+
+
 def test_sturm_chain_of_quadratic():
     # x^2 - 2 -> derivative, then a positive constant
     chain = sturm_chain(poly([-2, 0, 1])).chain
@@ -90,6 +94,10 @@ def test_degree_sixteen_regression():
     assert rep.distinct_real == 14
     assert rep.real_with_multiplicity == 14
     assert not rep.is_real_rooted
+    # the verdict rests on a 15-rung ladder and one disc around a complex pair
+    c = b_coeffs(16)
+    assert len(realroots._certified_ladder(c)) == 15
+    assert len(realroots._b_certificate(c)[1]) == 1
 
 
 def test_isolation_of_sqrt_two():
@@ -227,7 +235,7 @@ def test_ladders_agree_with_sturm_through_rank_40():
             h = h_of(tag, n)
             c = list(primitive_integer_coeffs(h))
             ladder = realroots._certified_ladder(c)
-            if tag in "AC" or (tag == "D" and n >= 3):
+            if tag in "ABC" or (tag == "D" and n >= 3):
                 assert ladder is not None, f"{tag}{n} not ladder-certified"
             rep = is_real_rooted(h)
             want = sturm_only_report(h)
@@ -255,14 +263,104 @@ def test_ladder_counter_matches_sturm_at_rungs_and_roots():
 
 def test_non_closed_forms_take_sturm():
     assert realroots._certified_ladder([1, 3, 1, 1]) is None  # 1+3x+x^2+x^3
-    for n in (16, 20):
-        c = list(primitive_integer_coeffs(h_of("B", n)))
-        assert realroots._certified_ladder(c) is None
     # a product of closed forms is not itself a closed form
     prod = h_of("A", 3) * h_of("C", 2)
     assert realroots._certified_ladder(list(primitive_integer_coeffs(prod))) is None
     rep = is_real_rooted(prod)
     assert (rep.distinct_real, rep.is_real_rooted) == (5, True)
+
+
+@pytest.mark.parametrize("n, real", [(16, 14), (20, 18)])
+def test_type_b_certifies_with_one_disc(n, real):
+    c = b_coeffs(n)
+    ladder = realroots._certified_ladder(c)
+    assert ladder is not None and len(ladder) - 1 == real
+    separators, discs = realroots._b_certificate(c)
+    assert len(separators) + 1 == real and len(discs) == 1
+    assert all(realroots._disc_holds(c, d) for d in discs)
+
+
+def moved(d, du=0, dv=0, e=None):
+    return realroots._Disc(d.u + du, d.v + dv, d.s, d.e if e is None else e)
+
+
+def test_pellet_rejects_a_moved_center():
+    c = b_coeffs(16)
+    (d,) = realroots._b_certificate(c)[1]
+    assert realroots._disc_holds(c, d)
+    r = 1 << d.e
+    for du, dv in ((5 * r, 0), (-5 * r, 0), (0, 5 * r), (3 * r, -3 * r)):
+        assert not realroots._disc_holds(c, moved(d, du, dv))
+
+
+def test_disc_must_miss_the_real_axis():
+    # x^2 + 4 at 2i: P(2i + t) = 4i t + t^2, so Pellet holds for radius < 4
+    c = [4, 0, 1]
+    assert realroots._disc_holds(c, realroots._Disc(0, 2, 0, 0))
+    touching = realroots._Disc(0, 2, 0, 1)
+    assert realroots._pellet(*realroots._shift_bounds(c, 0, 2, 0), touching.e)
+    assert not realroots._disc_holds(c, touching)
+    # x^2 + 3 at 3i/2: 4 p(y/2) at 3i + t is 3 + 6i t + t^2; radius 2 > 3/2
+    c = [3, 0, 1]
+    assert realroots._disc_holds(c, realroots._Disc(0, 3, 1, 1))
+    crossing = realroots._Disc(0, 3, 1, 2)
+    assert realroots._pellet(*realroots._shift_bounds(c, 0, 3, 1), crossing.e)
+    assert not realroots._disc_holds(c, crossing)
+
+
+def test_pellet_rounds_toward_rejection():
+    # x^2 + x + 1 at i: A_0 = i, A_1 = 1 + 2i, A_2 = 1.  At R = 2,
+    # |A_1| R = 2 sqrt 5 < 5 = |A_0| + |A_2| R^2, though ceil |A_1| R = 6
+    lo1, hi = realroots._shift_bounds([1, 1, 1], 0, 1, 0)
+    assert (lo1, hi) == (2, [1, 3, 1])
+    assert not realroots._pellet(lo1, hi, 1)
+
+
+def test_overlapping_discs_are_rejected():
+    # (x^2 + 1)(x^2 + 2x + 2): roots i and -1 + i, one apart
+    c = [2, 2, 3, 2, 1]
+    i, j = realroots._Disc(0, 4, 2, 0), realroots._Disc(-4, 4, 2, 0)
+    assert realroots._disc_holds(c, i) and realroots._disc_holds(c, j)
+    assert realroots._disjoint([i, j])
+    # radius 1/2 each: tangent; radius 1 and 1/4: overlapping
+    assert not realroots._disjoint([moved(i, e=1), moved(j, e=1)])
+    assert not realroots._disjoint([moved(i, e=2), j])
+    assert not realroots._disjoint([i, i])
+
+
+def assert_sturm_fallback(n):
+    h = h_of("B", n)
+    assert realroots._certified_ladder(b_coeffs(n)) is None
+    rep = is_real_rooted(h)
+    got = (rep.distinct_real, rep.real_with_multiplicity, rep.is_real_rooted)
+    assert got == sturm_only_report(h)
+    assert isolate_real_roots(h) == sturm_only_intervals(h)
+
+
+@pytest.mark.parametrize("drop", ["guess", "separator"])
+def test_failed_b_certificate_falls_back_to_sturm(monkeypatch, drop):
+    propose = realroots._b_proposal
+
+    def short(n):
+        separators, guesses = propose(n)
+        if drop == "guess":
+            return separators, guesses[1:]
+        return separators[:3] + separators[4:], guesses
+
+    monkeypatch.setattr(realroots, "_b_proposal", short)
+    assert_sturm_fallback(20)
+
+
+def test_two_discs_around_one_root_fall_back_to_sturm(monkeypatch):
+    c = b_coeffs(20)
+    separators, (x,) = realroots._b_proposal(20)
+    twin = x + 1e-3
+    discs = [realroots._root_disc(c, y, 1e-3) for y in (x, twin)]
+    assert all(d is not None and realroots._disc_holds(c, d) for d in discs)
+    assert not realroots._disjoint(discs)
+    monkeypatch.setattr(realroots, "_b_proposal", lambda n: (separators, [x, twin]))
+    assert realroots._b_certificate(c)[1] == []
+    assert_sturm_fallback(20)
 
 
 def test_bracket_validates_sign_pattern():

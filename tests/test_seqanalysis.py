@@ -84,6 +84,32 @@ def test_internal_zeros():
     assert v.witness == InternalZeroWitness(1)
 
 
+@pytest.mark.parametrize(
+    "seq, index",
+    [
+        ([1, 2, 3], None),
+        ([0, 0, 1, 2], None),
+        ([1, 2, 0], None),
+        ([0, 0], None),
+        ([], None),
+        ([1, 0, 1], 1),
+        ([0, 3, 0, 0, 5, 0], 2),
+        ([Fraction(1, 3), 0, Fraction(-2, 5)], 1),
+    ],
+)
+def test_internal_zeros_same_for_int_fraction_and_mixed(seq, index):
+    # entries are compared with zero as given, without a Fraction copy
+    forms = [
+        seq,
+        tuple(Fraction(v) for v in seq),
+        [Fraction(v) if i % 2 else v for i, v in enumerate(seq)],
+    ]
+    for form in forms:
+        v = check_no_internal_zeros(form)
+        assert v.holds == (index is None)
+        assert v.witness == (None if index is None else InternalZeroWitness(index))
+
+
 def test_pf_all_ones_of_length_three_fails_at_order_three():
     v = pf_minor_check([1, 1, 1], 3)
     assert not v.holds
