@@ -232,11 +232,14 @@ def _cmd_analyze(args) -> tuple[str, int]:
 def _cmd_roots(args) -> tuple[str, int]:
     lt = _ltype(args)
     h = _poly_for(lt, args.allow_expensive)
-    intervals = [_ends(iv) for iv in isolate_real_roots(h, args.width)]
+    isolated = isolate_real_roots(h, args.width)
+    intervals = [_ends(iv) for iv in isolated]
     brackets = []
     if lt.tag == "D" and lt.rank >= 3:
         for b in d_type_brackets(lt.rank):
-            x = _ends(refine_bracket(b, h, args.width))
+            # bracket j holds the j-th root from zero, the (n-1-j)-th from the left
+            near = isolated[lt.rank - 1 - b.j]
+            x = _ends(refine_bracket(b, h, args.width, near))
             brackets.append({"j": b.j, "phi": [_f12(b.phi_lo), _f12(b.phi_hi)], "x": x})
     if args.format == "csv":
         return _table(("lo", "hi"), intervals), 0

@@ -186,7 +186,7 @@ def primitive_integer_coeffs(p: Polynomial) -> tuple[int, ...]:
     den = 1
     for c in p.coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = 0
     for v in ints:
         g = math.gcd(g, v)

@@ -35,12 +35,20 @@ variations are unchanged.
 
 Isolation bisects on root counts from whichever device certified the
 polynomial; once a subinterval holds a single root it is refined on
-the sign of the squarefree part alone.
+the sign of the squarefree part alone.  Every point visited is dyadic,
+held as (n, e) for n / 2^e: its sign is that of 2^(e d) c(n / 2^e) by
+Horner with shifts, a rung p / q is compared with it as p 2^e against
+n q, and only the returned ends become fractions.  refine_bracket runs
+the same kernel on q^d c(y / q), q the denominator of the bracket.
 
 For type D the ladder nodes also have a trigonometric reading:
 substituting x = -tan^2(phi/2) turns the polynomial into cos(n phi)
 plus a small perturbation whose sign at the nodes j pi / n alternates,
 so each window (j pi / n, (j+1) pi / n) brackets exactly one root.
+With one root per window, bisection ends in the grid cell of that
+root, which the signs at the grid points in and beside the root's
+isolation interval fix; refine_bracket reads it off there, and bisects
+only when those signs do not prove it.
 """
 from __future__ import annotations
 
@@ -51,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .coordinator import _CLOSED_FORMS, MIN_RANK, LatticeType, coordinator
+from .coordinator import _CLOSED_FORMS, MIN_RANK
 from .exactpoly import (
     Polynomial,
     _int_derivative,
@@ -178,16 +186,29 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(c: list[int], r: Fraction) -> int:
-    """Exact sign of c at r: of sum c_k num^k den^(d-k), Horner in integers."""
-    num, den = r.numerator, r.denominator
-    d = len(c) - 1
-    acc = c[d]
-    tp = 1
-    for k in range(d - 1, -1, -1):
-        tp *= den
-        acc = acc * num + c[k] * tp
+def _scaled(c: list[int], q: int) -> list[int]:
+    """Coefficients of q^d c(y / q): the roots of c times q, the signs kept."""
+    out = list(c)
+    qk = 1
+    for k in range(len(c) - 2, -1, -1):
+        qk *= q
+        out[k] *= qk
+    return out
+
+
+def _sign_at(c: list[int], n: int, e: int = 0) -> int:
+    """Exact sign of c at n / 2^e: of 2^(e d) c(n / 2^e), Horner with shifts."""
+    acc = c[-1]
+    shift = 0
+    for ck in reversed(c[:-1]):
+        shift += e
+        acc = acc * n + (ck << shift)
     return _sign(acc)
+
+
+def _rational_sign(c: list[int], r: Fraction) -> int:
+    """Exact sign of c at the rational r, an integer point once scaled."""
+    return _sign_at(_scaled(c, r.denominator), r.numerator)
 
 
 def _variations(signs: list[int]) -> int:
@@ -200,10 +221,6 @@ def _variations(signs: list[int]) -> int:
             v += 1
         prev = s
     return v
-
-
-def _var_at(chain: list[list[int]], r: Fraction) -> int:
-    return _variations([_sign_at(c, r) for c in chain])
 
 
 def _var_at_infinity(chain: list[list[int]], positive: bool) -> int:
@@ -257,7 +274,7 @@ def _fix_ladder(c: list[int], ladder: list[Fraction]) -> list[Fraction]:
     out = list(ladder)
     for j in range(n + 1):
         want = 1 if j % 2 == 0 else -1
-        if _sign_at(c, out[j]) == want:
+        if _rational_sign(c, out[j]) == want:
             continue
         candidates = []
         for step in _LADDER_STEPS:
@@ -273,7 +290,7 @@ def _fix_ladder(c: list[int], ladder: list[Fraction]) -> list[Fraction]:
         for cand in candidates:
             if cand >= 0:
                 continue
-            if _sign_at(c, cand) == want:
+            if _rational_sign(c, cand) == want:
                 fixed = cand
                 break
         if fixed is None:
@@ -354,7 +371,7 @@ def _b_newton(n: int, theta: complex) -> complex | None:
 def _b_proposal(n: int) -> tuple[list[float], list[complex]]:
     """Float separators and complex-root guesses for h_B of degree n.
 
-    g is sampled at 64 (2n+1) points of (0, pi/2); samples where |g|
+    g is sampled at 32 (2n+1) points of (0, pi/2); samples where |g|
     is below float noise are dropped (near pi/2 the two terms of g
     cancel).  The separators are -tan^2 of the midpoints between
     consecutive sign changes.  Each local minimum of |g| without a sign
@@ -363,7 +380,7 @@ def _b_proposal(n: int) -> tuple[list[float], list[complex]]:
     Im x > 0, is one guess for a complex-conjugate pair.
     """
     k = 2 * n + 1
-    steps = 64 * k
+    steps = 32 * k
     h = math.pi / (2 * steps)
     noise = 2.0**-46 * k
     cos = math.cos
@@ -551,16 +568,16 @@ def _certified_ladder(c: list[int]) -> list[Fraction] | None:
 
 
 class _SturmCounter:
-    """N(x) = V(x) - V(+inf) on the signed remainder chain of squarefree c."""
+    """N(x) = V(x) - V(+inf) on a signed remainder chain of squarefree c."""
 
-    def __init__(self, c: list[int]):
-        self.chain = _signed_chain(c)
-        self._v_top = _var_at_infinity(self.chain, True)
-        self.total = _var_at_infinity(self.chain, False) - self._v_top
+    def __init__(self, chain: list[list[int]]):
+        self.chain = chain
+        self._v_top = _var_at_infinity(chain, True)
+        self.total = _var_at_infinity(chain, False) - self._v_top
 
-    def above(self, x: Fraction, s: int) -> int:
-        """Roots greater than x; s, the sign of c at x, is not needed."""
-        return _var_at(self.chain, x) - self._v_top
+    def above(self, n: int, e: int, s: int) -> int:
+        """Roots greater than n / 2^e; s, the sign of c there, is not needed."""
+        return _variations([_sign_at(f, n, e) for f in self.chain]) - self._v_top
 
 
 class _LadderCounter:
@@ -569,19 +586,21 @@ class _LadderCounter:
     def __init__(self, rungs: list[Fraction]):
         self.rungs = rungs
         self.total = len(rungs) - 1
+        self._pq = [(r.numerator, r.denominator) for r in rungs]
 
-    def above(self, x: Fraction, s: int) -> int:
-        """Roots greater than x; s must be the exact sign of c at x."""
-        rungs = self.rungs
-        lo, hi = 0, len(rungs)
+    def above(self, n: int, e: int, s: int) -> int:
+        """Roots greater than n / 2^e; s must be the exact sign of c there."""
+        pq = self._pq
+        lo, hi = 0, len(pq)
         while lo < hi:
             mid = (lo + hi) // 2
-            if rungs[mid] > x:
+            p, q = pq[mid]
+            if p << e > n * q:
                 lo = mid + 1
             else:
                 hi = mid
         # rungs[:lo] lie above x, with one root between each adjacent pair
-        if lo == 0 or lo == len(rungs) or rungs[lo] == x:
+        if lo == 0 or lo == len(pq) or pq[lo][0] << e == n * pq[lo][1]:
             return min(lo, self.total)
         # x is inside window lo-1, whose root lies above x exactly when
         # c(x) has the sign c takes at the lower rung, (-1)^lo
@@ -591,7 +610,7 @@ class _LadderCounter:
 def _root_counter(c: list[int]) -> _SturmCounter | _LadderCounter:
     """Ladder counter when one certifies, else Sturm; c squarefree, positive leading."""
     rungs = _certified_ladder(c)
-    return _SturmCounter(c) if rungs is None else _LadderCounter(rungs)
+    return _SturmCounter(_signed_chain(c)) if rungs is None else _LadderCounter(rungs)
 
 
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
@@ -599,7 +618,8 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
 
     On an interval [a, b] the roots in (a, b] are N(a) - N(b), with N
     the number of roots above a point, even when a or b is a root; an
-    exact check of p(a) = 0 adds the left endpoint.
+    exact check of p(a) = 0 adds the left endpoint.  Both are counted
+    as integers on q^d p(y / q), q their common denominator.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -609,9 +629,15 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     counter = _root_counter(sf)
     if interval is None:
         return counter.total
-    lo, hi = interval.lo, interval.hi
-    s_lo = _sign_at(sf, lo)
-    return counter.above(lo, s_lo) - counter.above(hi, _sign_at(sf, hi)) + (s_lo == 0)
+    q = math.lcm(interval.lo.denominator, interval.hi.denominator)
+    if isinstance(counter, _LadderCounter):
+        counter = _LadderCounter([r * q for r in counter.rungs])
+    else:
+        counter = _SturmCounter([_scaled(f, q) for f in counter.chain])
+    c = _scaled(sf, q)
+    lo, hi = int(interval.lo * q), int(interval.hi * q)
+    s_lo = _sign_at(c, lo)
+    return counter.above(lo, 0, s_lo) - counter.above(hi, 0, _sign_at(c, hi)) + (s_lo == 0)
 
 
 def is_real_rooted(p: Polynomial) -> RootReport:
@@ -640,63 +666,70 @@ def is_real_rooted(p: Polynomial) -> RootReport:
 
 
 # ---------------------------------------------------------------------------
-# isolation and refinement
+# isolation and refinement on the dyadic grid: a point is n / 2^e, and an
+# interval (a, b, e) is [a / 2^e, b / 2^e], both ends on one grid
 # ---------------------------------------------------------------------------
 
 
-def _nonroot_split(c: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    """A point strictly inside (lo, hi) where c does not vanish, and c's sign there."""
-    mid = (lo + hi) / 2
-    s = _sign_at(c, mid)
-    if s != 0:
-        return mid, s
-    gap = hi - lo
+def _nonroot_split(c: list[int], a: int, b: int, e: int) -> tuple[int, int, int]:
+    """(m, k, s): c has sign s != 0 at m / 2^(e+k), strictly inside (a, b) / 2^e.
+
+    The midpoint first (k = 1), then mid -/+ (b - a) / 2^(e+k) for k = 3, 4, ...
+    """
+    m = a + b
+    s = _sign_at(c, m, e + 1)
+    if s:
+        return m, 1, s
     k = 3
     while True:
-        for cand in (mid - gap / 2**k, mid + gap / 2**k):
-            s = _sign_at(c, cand)
-            if s != 0:
-                return cand, s
+        for cand in ((m << (k - 1)) - (b - a), (m << (k - 1)) + (b - a)):
+            s = _sign_at(c, cand, e + k)
+            if s:
+                return cand, k, s
         k += 1
 
 
 def _bisect_sign(
-    c: list[int], lo: Fraction, hi: Fraction, s_lo: int, width: Fraction
-) -> Interval:
-    """Shrink (lo, hi), holding one sign change of c, to at most width."""
-    while hi - lo > width:
+    c: list[int], a: int, b: int, e: int, s_a: int, wn: int, wd: int
+) -> tuple[int, int, int]:
+    """Shrink (a, b, e), holding one sign change of c, to width at most wn / wd."""
+    while (b - a) * wd > wn << e:
         # split points are chosen off the roots, so signs stay decisive
-        mid, s = _nonroot_split(c, lo, hi)
-        if s == s_lo:
-            lo = mid
+        m, k, s = _nonroot_split(c, a, b, e)
+        a, b, e = a << k, b << k, e + k
+        if s == s_a:
+            a = m
         else:
-            hi = mid
-    return Interval(lo, hi)
+            b = m
+    return a, b, e
 
 
 def _isolate(
     c: list[int], width: Fraction, counter: _SturmCounter | _LadderCounter
 ) -> tuple[Interval, ...]:
     """Bisection on counter's root counts for squarefree c, then sign refinement."""
+    wn, wd = width.numerator, width.denominator
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
-    lo, hi = Fraction(-bound), Fraction(bound)
-    s_lo = _sign_at(c, lo)
+    s_lo = _sign_at(c, -bound)
+    n_lo = counter.above(-bound, 0, s_lo)
+    n_hi = counter.above(bound, 0, _sign_at(c, bound))
     found: list[Interval] = []
-    # (a, sign of c at a, N(a), b, N(b)); no endpoint is a root
-    stack = [(lo, s_lo, counter.above(lo, s_lo), hi, counter.above(hi, _sign_at(c, hi)))]
+    # (a, sign of c at a, N(a), b, N(b), e); no endpoint is a root
+    stack = [(-bound, s_lo, n_lo, bound, n_hi, 0)]
     while stack:
-        a, sa, na, b, nb = stack.pop()
+        a, sa, na, b, nb, e = stack.pop()
         roots_here = na - nb
         if roots_here == 0:
             continue
         if roots_here == 1:
             # c is squarefree, so its one root here is a sign change
-            found.append(_bisect_sign(c, a, b, sa, width))
+            a, b, e = _bisect_sign(c, a, b, e, sa, wn, wd)
+            found.append(Interval(Fraction(a, 1 << e), Fraction(b, 1 << e)))
             continue
-        m, sm = _nonroot_split(c, a, b)
-        nm = counter.above(m, sm)
-        stack.append((a, sa, na, m, nm))
-        stack.append((m, sm, nm, b, nb))
+        m, k, sm = _nonroot_split(c, a, b, e)
+        nm = counter.above(m, e + k, sm)
+        stack.append((a << k, sa, na, m, nm, e + k))
+        stack.append((m, sm, nm, b << k, nb, e + k))
     found.sort(key=lambda iv: iv.lo)
     return tuple(found)
 
@@ -709,10 +742,13 @@ def isolate_real_roots(
     Bisection on root counts (ladder or Sturm) from the Cauchy-style
     bound 1 + max|a_k| / |a_d|, midpoints nudged off the roots; a
     subinterval with one root is bisected on signs alone down to at
-    most the requested width.
+    most the requested width.  Every point visited is dyadic, n / 2^e,
+    and is evaluated in integers; only the returned ends become
+    fractions.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     if p.degree < 1:
@@ -744,6 +780,12 @@ def trig_values(n: int, phi: float) -> tuple[float, float]:
     return math.cos(n * phi) + envelope, envelope
 
 
+@lru_cache(maxsize=64)
+def _d_ladder(n: int) -> tuple[Fraction, ...]:
+    """The certified ladder of the degree-n type D closed form, n >= 3."""
+    return tuple(_ladder(list(_closed_form("D", n)), _tan_separators(n)))
+
+
 def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, ...]:
     """Certified brackets, one per root, for the type D coordinator polynomial.
 
@@ -758,9 +800,6 @@ def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, .
         raise ValueError(
             f"needs n >= 3, got {n}; rank 2 has a double root and no distinct brackets"
         )
-    hd = coordinator(LatticeType("D", n)).poly
-    c = [int(v) for v in hd.coeffs]
-
     node_values = [trig_values(n, j * math.pi / n)[0] for j in range(n + 1)]
     if margin is not None:
         for j, value in enumerate(node_values):
@@ -769,7 +808,7 @@ def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, .
                 raise BracketingError(
                     j, value, margin, "float interlacing margin violated"
                 )
-    ladder = _ladder(c, _tan_separators(n))
+    ladder = _d_ladder(n)
 
     brackets = []
     for j in range(n):
@@ -786,22 +825,87 @@ def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, .
     return tuple(brackets)
 
 
+def _one_root_window(b: TrigBracket | Interval, c: list[int]) -> bool:
+    """b is window j of the ladder of c, the type D closed form of degree n.
+
+    n + 1 alternating rungs for n roots leave one simple root per window.
+    """
+    n = len(c) - 1
+    if not isinstance(b, TrigBracket) or n < 3 or tuple(c) != _closed_form("D", n):
+        return False
+    try:
+        ladder = _d_ladder(n)
+    except BracketingError:
+        return False
+    return 0 <= b.j < n and b.x_interval == Interval(ladder[b.j + 1], ladder[b.j])
+
+
+def _grid_cell(
+    c: list[int], a: int, b: int, s_a: int, wn: int, wd: int, near: Interval, q: int
+) -> tuple[int, int, int] | None:
+    """The cell that bisecting (a, b) to width wn / wd ends in, read off near.
+
+    (a, b) must hold exactly one root of c.  Of the cells that meet
+    q near, at most 3 since at most 2 grid points lie inside it, the
+    first whose ends have exact, nonzero, opposite signs holds that
+    root strictly inside: then no grid point is a root, bisection never
+    nudges, and it ends in this cell.  None if no cell qualifies.
+    """
+    t = 0
+    while (b - a) * wd > wn << t:
+        t += 1
+    span, top = b - a, 1 << t
+    # grid point i is ((a << t) + i span) / 2^t; first..last lie in q near
+    first = math.ceil((near.lo * q - a) * top / span)
+    last = math.floor((near.hi * q - a) * top / span)
+    if last - first > 1:
+        return None
+    signs = {0: s_a, top: -s_a}
+
+    def sign(i: int) -> int:
+        if i not in signs:
+            signs[i] = _sign_at(c, (a << t) + i * span, t)
+        return signs[i]
+
+    for i in range(max(first - 1, 0), min(last, top - 1) + 1):
+        if sign(i) * sign(i + 1) == -1:
+            return (a << t) + i * span, (a << t) + (i + 1) * span, t
+    return None
+
+
 def refine_bracket(
-    b: TrigBracket | Interval, p: Polynomial, width: Fraction
+    b: TrigBracket | Interval, p: Polynomial, width: Fraction, near: Interval | None = None
 ) -> Interval:
     """Shrink a sign-change bracket to the requested width by bisection.
 
     The exact signs of p at the bracket endpoints must differ.  If the
     current width already satisfies the request the input interval is
-    returned unchanged.
+    returned unchanged.  Scaled by the common denominator q of its
+    ends, the bracket becomes an integer one for q^d p(y / q), which the
+    dyadic kernel of isolate_real_roots bisects; the midpoints, and so
+    the result, are those of bisecting the rationals.
+
+    near, an interval around the same root no wider than the requested
+    width, such as its isolation interval, lets a bracket of
+    d_type_brackets(n) for its own polynomial skip the bisection: the
+    window holds one root, so the signs at the grid points in and beside
+    near fix the final cell.  A cell is taken only when its ends have
+    exact, nonzero, opposite signs; otherwise the bracket is bisected.
     """
     iv = b.x_interval if isinstance(b, TrigBracket) else b
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     c = list(primitive_integer_coeffs(p))
-    s_lo = _sign_at(c, iv.lo)
-    s_hi = _sign_at(c, iv.hi)
+    q = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    scaled = _scaled(c, q)
+    lo, hi = int(iv.lo * q), int(iv.hi * q)
+    s_lo, s_hi = _sign_at(scaled, lo), _sign_at(scaled, hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("endpoint signs must be nonzero and opposite")
-    return _bisect_sign(c, iv.lo, iv.hi, s_lo, width)
+    wn, wd = width.numerator * q, width.denominator
+    cell = None
+    if near is not None and _one_root_window(b, c):
+        cell = _grid_cell(scaled, lo, hi, s_lo, wn, wd, near, q)
+    x, y, e = cell or _bisect_sign(scaled, lo, hi, 0, s_lo, wn, wd)
+    return Interval(Fraction(x, q << e), Fraction(y, q << e))

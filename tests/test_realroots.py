@@ -1,4 +1,5 @@
 """Sturm counting, isolation, and the trigonometric bracket ladder."""
+import json
 import math
 from fractions import Fraction
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordlat import realroots
+from coordlat import cli, realroots
 from coordlat.coordinator import LatticeType, coordinator
 from coordlat.exactpoly import (
     eval_at,
     poly,
     primitive_integer_coeffs,
     squarefree_decomposition,
+    squarefree_part,
 )
 from coordlat.realroots import (
     BracketingError,
@@ -214,19 +216,101 @@ def test_margin_is_enforced_as_given():
     assert d_type_brackets(3) == d_type_brackets(3, margin=0.43)
 
 
+# Reference: the Fraction bisection of an earlier version, counting roots
+# with the public Sturm chain and signs at Fraction points.  It shares no
+# code with the dyadic kernel it checks.
+
+
+def ref_sign(c, r):
+    """Sign of sum c_k num^k den^(d-k), Horner in integers."""
+    num, den = r.numerator, r.denominator
+    acc, tp = c[-1], 1
+    for ck in reversed(c[:-1]):
+        tp *= den
+        acc = acc * num + ck * tp
+    return (acc > 0) - (acc < 0)
+
+
+def variations(signs):
+    signs = [s for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class RefSturm:
+    """N(x), the number of distinct roots above x, from sturm_chain(p)."""
+
+    def __init__(self, p):
+        self.chain = [list(primitive_integer_coeffs(f)) for f in sturm_chain(p).chain]
+        self.top = variations([(f[-1] > 0) - (f[-1] < 0) for f in self.chain])
+        bottom = [((f[-1] > 0) - (f[-1] < 0)) * (-1) ** (len(f) - 1) for f in self.chain]
+        self.total = variations(bottom) - self.top
+
+    def above(self, x):
+        return variations([ref_sign(f, x) for f in self.chain]) - self.top
+
+
+def ref_nonroot_split(c, lo, hi):
+    mid = (lo + hi) / 2
+    s = ref_sign(c, mid)
+    if s != 0:
+        return mid, s
+    gap = hi - lo
+    k = 3
+    while True:
+        for cand in (mid - gap / 2**k, mid + gap / 2**k):
+            s = ref_sign(c, cand)
+            if s != 0:
+                return cand, s
+        k += 1
+
+
+def ref_bisect_sign(c, lo, hi, s_lo, width):
+    while hi - lo > width:
+        mid, s = ref_nonroot_split(c, lo, hi)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
+
+
+def ref_refine(iv, p, width):
+    c = list(primitive_integer_coeffs(p))
+    return ref_bisect_sign(c, iv.lo, iv.hi, ref_sign(c, iv.lo), Fraction(width))
+
+
+def sturm_only_intervals(p, width=Fraction(1, 64)):
+    c = list(primitive_integer_coeffs(squarefree_part(p)[0]))
+    counter = RefSturm(p)
+    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
+    lo, hi = Fraction(-bound), Fraction(bound)
+    found = []
+    stack = [(lo, ref_sign(c, lo), counter.above(lo), hi, counter.above(hi))]
+    while stack:
+        a, sa, na, b, nb = stack.pop()
+        if na - nb == 1:
+            found.append(ref_bisect_sign(c, a, b, sa, width))
+        elif na - nb > 1:
+            m, sm = ref_nonroot_split(c, a, b)
+            nm = counter.above(m)
+            stack += [(a, sa, na, m, nm), (m, sm, nm, b, nb)]
+    return tuple(sorted(found, key=lambda iv: iv.lo))
+
+
+def sturm_only_count(p, iv):
+    """Roots in the closed interval iv."""
+    counter = RefSturm(p)
+    return counter.above(iv.lo) - counter.above(iv.hi) + (eval_at(p, iv.lo) == 0)
+
+
 def sturm_only_report(p):
     """(distinct, with multiplicity, verdict) from Sturm chains alone."""
     distinct = weighted = 0
     for f, m in squarefree_decomposition(p):
-        k = realroots._SturmCounter(list(primitive_integer_coeffs(f))).total
+        k = RefSturm(f).total
         distinct += k
         weighted += m * k
     return distinct, weighted, weighted == p.degree
-
-
-def sturm_only_intervals(p, width=Fraction(1, 64)):
-    sf = realroots._squarefree_int(p)
-    return realroots._isolate(sf, width, realroots._SturmCounter(sf))
 
 
 def test_ladders_agree_with_sturm_through_rank_40():
@@ -244,20 +328,29 @@ def test_ladders_agree_with_sturm_through_rank_40():
 
 
 def test_ladder_counter_matches_sturm_at_rungs_and_roots():
-    # N(x) at every rung, between rungs and on a root itself
+    # N(x) at every rung, between rungs and on a root itself; a rational
+    # x = n/q is the integer n for the rungs times q, and a dyadic one is
+    # (n, e) as it stands
     h = h_of("C", 6)
     c = list(primitive_integer_coeffs(h))
     ladder = realroots._LadderCounter(realroots._certified_ladder(c))
-    sturm = realroots._SturmCounter(c)
+    sturm = RefSturm(h)
     points = list(ladder.rungs) + [Fraction(-10**6), Fraction(1), Fraction(0)]
     points += [(a + b) / 2 for a, b in zip(ladder.rungs, ladder.rungs[1:])]
+    points += [Fraction(round(x * 2**20), 2**20) for x in points]
     for x in points:
-        s = realroots._sign_at(c, x)
-        assert ladder.above(x, s) == sturm.above(x, s)
+        s = ref_sign(c, x)
+        n, q = x.numerator, x.denominator
+        scaled = realroots._LadderCounter([r * q for r in ladder.rungs])
+        assert scaled.above(n, 0, s) == sturm.above(x)
+        if q & (q - 1) == 0:
+            assert ladder.above(n, q.bit_length() - 1, s) == sturm.above(x)
+            assert realroots._sign_at(c, n, q.bit_length() - 1) == s
     # h_C(x^2) = ((1+x)^12 + (1-x)^12) / 2 has no rational roots, so use
     # a ladder polynomial with one: h_A(1) = 1 + x at x = -1
     one = realroots._LadderCounter(realroots._certified_ladder([1, 1]))
-    assert one.above(Fraction(-1), 0) == 0
+    assert one.above(-1, 0, 0) == 0
+    assert one.above(-2, 1, 0) == 0
     assert count_real_roots(poly([1, 1]), Interval(Fraction(-1), Fraction(0))) == 1
 
 
@@ -361,6 +454,108 @@ def test_two_discs_around_one_root_fall_back_to_sturm(monkeypatch):
     monkeypatch.setattr(realroots, "_b_proposal", lambda n: (separators, [x, twin]))
     assert realroots._b_certificate(c)[1] == []
     assert_sturm_fallback(20)
+
+
+WIDTHS = [Fraction(1, 1024), Fraction(1, 3), Fraction(5, 7), Fraction(3)]
+
+
+def dyadic(factor):
+    a, b = factor
+    return Fraction(b, 2**a)
+
+
+def test_nudge_steps_off_three_grid_roots():
+    # 4x^3 - x has roots 0 and -1/2, 1/2 on the grid of [-2, 2]: the
+    # midpoint 0 and both nudges at -/+ 4/8 are roots, so the split is -4/16
+    c = [0, -1, 0, 4]
+    assert realroots._nonroot_split(c, -2, 2, 0) == (-4, 4, 1)
+    p = poly(c)
+    for width in WIDTHS:
+        assert isolate_real_roots(p, width) == sturm_only_intervals(p, width)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(-40, 40)),
+        min_size=1,
+        max_size=5,
+        unique_by=dyadic,
+    ),
+    st.sampled_from(WIDTHS),
+)
+@settings(max_examples=60, deadline=None)
+def test_dyadic_roots_match_the_fraction_reference(factors, width):
+    # roots b / 2^a sit on the bisection grid of [-bound, bound] whenever
+    # the odd part of the bound divides b, so midpoints hit them and the
+    # splits are nudged
+    p = poly([1])
+    for a, b in factors:
+        p = p * poly([-b, 2**a])
+    roots = sorted(map(dyadic, factors))
+    ivs = sturm_only_intervals(p, width)
+    assert isolate_real_roots(p, width) == ivs
+    assert count_real_roots(p) == len(roots)
+    # closed intervals with roots, dyadic and non-dyadic points as ends
+    ends = sorted({x + d for x in roots for d in (0, Fraction(1, 3), Fraction(-1, 4))})
+    for lo in ends:
+        for hi in ends:
+            if lo < hi:
+                iv = Interval(lo, hi)
+                assert count_real_roots(p, iv) == sturm_only_count(p, iv)
+    # windows around 1 and 3 roots; a plain interval never takes the
+    # bracket shortcut, near or not
+    for k in (0, 2):
+        for i in range(len(ivs) - k):
+            window = Interval(ivs[i].lo, ivs[i + k].hi)
+            want = ref_refine(window, p, width / 16)
+            assert refine_bracket(window, p, width / 16) == want
+            assert refine_bracket(window, p, width / 16, ivs[i + k // 2]) == want
+
+
+def cli_brackets(capsys, n, width):
+    cli.main(["roots", "--type", "D", "--n", str(n), "--width", width, "--format", "json"])
+    return json.loads(capsys.readouterr().out)["brackets"]
+
+
+@pytest.mark.parametrize("width", ["1/1024", "1/7", "3", "1/1000000"])
+def test_d_brackets_equal_plain_bisection(capsys, width):
+    for n in range(3, 41):
+        h = h_of("D", n)
+        want = [ref_refine(b.x_interval, h, Fraction(width)) for b in d_type_brackets(n)]
+        got = [[Fraction(x) for x in b["x"]] for b in cli_brackets(capsys, n, width)]
+        assert got == [[iv.lo, iv.hi] for iv in want], f"D{n}"
+
+
+@pytest.mark.parametrize("wrong", ["neighbour", "moved"])
+def test_d_brackets_fall_back_on_a_wrong_isolation_interval(capsys, monkeypatch, wrong):
+    n, width = 12, "1/1000000"
+    want = cli_brackets(capsys, n, width)
+    ivs = isolate_real_roots(h_of("D", n), Fraction(width))
+    if wrong == "neighbour":
+        ivs = ivs[1:] + ivs[:1]
+    else:
+        # past the root's cell and the next one: every grid point near
+        # offers lies above the root
+        w = Fraction(width)
+        ivs = tuple(Interval(iv.hi + 2 * w, iv.hi + 3 * w) for iv in ivs)
+    monkeypatch.setattr(cli, "isolate_real_roots", lambda p, w: ivs)
+    bisected = []
+    bisect = realroots._bisect_sign
+    monkeypatch.setattr(realroots, "_bisect_sign", lambda *a: bisected.append(a) or bisect(*a))
+    assert cli_brackets(capsys, n, width) == want
+    assert len(bisected) == n
+
+
+def test_three_root_trig_bracket_is_bisected():
+    # a TrigBracket that spans three windows of the D8 ladder has the
+    # signs of a bracket, but its final cell depends on the bisection path
+    n, width = 8, Fraction(1, 1024)
+    h, ladder = h_of("D", n), realroots._d_ladder(n)
+    b = TrigBracket(j=0, phi_lo=0.0, phi_hi=1.0, g_lo=1.0, g_hi=-1.0,
+                    x_interval=Interval(ladder[3], ladder[0]))
+    want = ref_refine(b.x_interval, h, width)
+    for near in isolate_real_roots(h, width)[-3:]:
+        assert refine_bracket(b, h, width, near) == want
 
 
 def test_bracket_validates_sign_pattern():
