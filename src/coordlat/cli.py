@@ -232,14 +232,11 @@ def _cmd_analyze(args) -> tuple[str, int]:
 def _cmd_roots(args) -> tuple[str, int]:
     lt = _ltype(args)
     h = _poly_for(lt, args.allow_expensive)
-    isolated = isolate_real_roots(h, args.width)
-    intervals = [_ends(iv) for iv in isolated]
+    intervals = [_ends(iv) for iv in isolate_real_roots(h, args.width)]
     brackets = []
     if lt.tag == "D" and lt.rank >= 3:
         for b in d_type_brackets(lt.rank):
-            # bracket j holds the j-th root from zero, the (n-1-j)-th from the left
-            near = isolated[lt.rank - 1 - b.j]
-            x = _ends(refine_bracket(b, h, args.width, near))
+            x = _ends(refine_bracket(b, h, args.width))
             brackets.append({"j": b.j, "phi": [_f12(b.phi_lo), _f12(b.phi_hi)], "x": x})
     if args.format == "csv":
         return _table(("lo", "hi"), intervals), 0

@@ -3,52 +3,40 @@
 Every count is certified exactly, by one of two devices.
 
 A ladder is a decreasing list of r+1 rationals at which a polynomial
-takes exact, strictly alternating signs (Horner evaluation in
-integers); r sign changes prove r distinct real roots, one between
-each pair of adjacent rungs.  The closed forms of types A, C and D
-come with float root separators: -tan^2(j pi / 2n) for C and D, and
-x = (t-1)/(t+1) at t = cos(k pi / (n + 1/2)) for A, from the Legendre
-identity h_A(x) = (1-x)^n P_n((1+x)/(1-x)) and Szego's interlacing of
-the Legendre zeros.  Floats only pick the rungs; each is rounded to a
-rational with denominator at most 2^32 and its sign checked exactly,
-and a rung that fails is moved toward a neighbour or the polynomial
-falls back to Sturm.
+takes exact, strictly alternating signs (Horner in integers); r sign
+changes prove r distinct real roots, one between adjacent rungs.  The
+closed forms of types A, C and D come with float separators:
+-tan^2(j pi / 2n) for C and D, and (t-1)/(t+1) at t = cos(k pi / (n + 1/2))
+for A, from h_A(x) = (1-x)^n P_n((1+x)/(1-x)) and Szego's interlacing of
+the Legendre zeros.  Floats only pick the rungs: each is rounded to the
+grid 2^-32 (for the printed D brackets, to denominators at most 2^32),
+and a rung whose exact sign fails sends the polynomial to Sturm.
 
-Type B has complex roots from rank 16 on (every rank checked, up to
-200), so its ladder is paired with root discs.  Under x = -tan^2(theta)
-the closed form becomes
+Type B has complex roots from rank 16 on, so its ladder is paired with
+root discs.  Under x = -tan^2(theta) h_B is a positive multiple of
 g(theta) = cos((2n+1) theta) + 2n sin^2 theta cos theta cos^(n-1)(2 theta)
-on (0, pi/2), up to the positive factor cos^(2n+1) theta.  The sign
-changes of g on a float grid give the rungs; complex Newton on g, from
-the dips of |g| that do not cross zero, gives one guess per complex
-pair.  Each guess is proven by Pellet's test for one root (Rouche) on a
-Gaussian-integer Taylor shift, with integer square-root bounds on the
-moduli, in a disc that misses the real axis; m pairwise disjoint discs
-prove 2m non-real roots.  Only when r + 2m is the degree does the
-ladder certify the count; otherwise B falls back to Sturm.
+on (0, pi/2).  Sign changes of g on a float grid give the rungs; complex
+Newton from the dips of |g| gives one guess per complex pair, proven by
+Pellet's test (Rouche) on a Gaussian-integer Taylor shift in a disc off
+the real axis.  Only when r + 2m is the degree does the ladder certify.
 
-Every other polynomial (products, exceptional types, custom input) is
-counted with a Sturm chain built from its squarefree part by a
-primitive pseudo-remainder sequence, which keeps every element an exact
-positive rational multiple of the textbook chain element, so sign
-variations are unchanged.
+Every other polynomial is counted with a Sturm chain of its squarefree
+part: a primitive pseudo-remainder sequence, each element a positive
+multiple of the textbook one, so sign variations are unchanged.
 
-Isolation bisects on root counts from whichever device certified the
-polynomial; once a subinterval holds a single root it is refined on
-the sign of the squarefree part alone.  Every point visited is dyadic,
-held as (n, e) for n / 2^e: its sign is that of 2^(e d) c(n / 2^e) by
-Horner with shifts, a rung p / q is compared with it as p 2^e against
-n q, and only the returned ends become fractions.  refine_bracket runs
-the same kernel on q^d c(y / q), q the denominator of the bracket.
+Isolation returns the cells that bisection on these counts ends in,
+from the bound 1 + max|c_k| / |c_d|, a one-root cell bisected on signs
+alone.  Every point is dyadic, n / 2^e, with the sign of
+2^(e d) c(n / 2^e) by Horner with shifts.  Each certificate also gives
+float roots (Legendre Newton for A, Newton on g for B, exactly for C,
+Newton on the window function for D), from which _pick_cells reads the
+final cells with exact checks; bisection runs only when they fail.
+refine_bracket does the same on q^d c(y / q), q the denominator of the
+bracket.
 
-For type D the ladder nodes also have a trigonometric reading:
-substituting x = -tan^2(phi/2) turns the polynomial into cos(n phi)
-plus a small perturbation whose sign at the nodes j pi / n alternates,
-so each window (j pi / n, (j+1) pi / n) brackets exactly one root.
-With one root per window, bisection ends in the grid cell of that
-root, which the signs at the grid points in and beside the root's
-isolation interval fix; refine_bracket reads it off there, and bisects
-only when those signs do not prove it.
+For type D, x = -tan^2(phi/2) turns the polynomial into cos(n phi) plus
+a small perturbation whose sign alternates at the nodes j pi / n, so
+each window (j pi / n, (j+1) pi / n) brackets exactly one root.
 """
 from __future__ import annotations
 
@@ -56,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .coordinator import _CLOSED_FORMS, MIN_RANK
@@ -166,6 +154,10 @@ class BracketingError(RuntimeError):
         super().__init__(f"node j={j}: {detail} (value {value!r}, needed {needed!r})")
 
 
+# float root guesses of a closed form, computed only when asked for
+_Guesses = Callable[[], list[float]]
+
+
 # ---------------------------------------------------------------------------
 # exact signs and the Sturm chain
 # ---------------------------------------------------------------------------
@@ -207,30 +199,21 @@ def _sign_at(c: list[int], n: int, e: int = 0) -> int:
 
 
 def _rational_sign(c: list[int], r: Fraction) -> int:
-    """Exact sign of c at the rational r, an integer point once scaled."""
-    return _sign_at(_scaled(c, r.denominator), r.numerator)
+    """Exact sign of c at the rational r: by shifts when r is dyadic, else scaled."""
+    q = r.denominator
+    if q & (q - 1) == 0:
+        return _sign_at(c, r.numerator, q.bit_length() - 1)
+    return _sign_at(_scaled(c, q), r.numerator)
 
 
 def _variations(signs: list[int]) -> int:
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
+    signs = [s for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _var_at_infinity(chain: list[list[int]], positive: bool) -> int:
-    signs = []
-    for c in chain:
-        s = _sign(c[-1])
-        if not positive and (len(c) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+    # at -inf, f has the sign of its leading coefficient times (-1)^deg f
+    return _variations([_sign(f[-1]) * (1 if positive or len(f) % 2 else -1) for f in chain])
 
 
 def _squarefree_int(p: Polynomial) -> list[int]:
@@ -255,66 +238,27 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 # ladders
 # ---------------------------------------------------------------------------
 
-_LADDER_STEPS = (
-    Fraction(1, 16),
-    Fraction(1, 8),
-    Fraction(1, 4),
-    Fraction(7, 16),
-)
 
-
-def _fix_ladder(c: list[int], ladder: list[Fraction]) -> list[Fraction]:
-    """Make sign(h(ladder[j])) = (-1)^j exact, widening toward neighbors.
-
-    The float-derived ladder essentially always verifies as built; this
-    repairs the rare endpoint that landed on the wrong side of a root
-    by stepping it toward an adjacent rung.
-    """
-    n = len(ladder) - 1
-    out = list(ladder)
-    for j in range(n + 1):
-        want = 1 if j % 2 == 0 else -1
-        if _rational_sign(c, out[j]) == want:
-            continue
-        candidates = []
-        for step in _LADDER_STEPS:
-            if j > 0:
-                candidates.append(out[j] + step * (out[j - 1] - out[j]))
-            if j < n:
-                candidates.append(out[j] + step * (out[j + 1] - out[j]))
-        if j == 0:
-            candidates.extend(out[0] / 2**k for k in (1, 2, 3, 4))
-        if j == n:
-            candidates.extend(out[n] * 2**k for k in (1, 2, 3, 4))
-        fixed = None
-        for cand in candidates:
-            if cand >= 0:
-                continue
-            if _rational_sign(c, cand) == want:
-                fixed = cand
-                break
-        if fixed is None:
-            raise BracketingError(
-                j, float(out[j]), float(want), "exact sign verification failed"
-            )
-        out[j] = fixed
-    if any(out[i] <= out[i + 1] for i in range(n)):
-        raise BracketingError(0, 0.0, 0.0, "ladder lost strict monotonicity")
-    return out
-
-
-def _ladder(c: list[int], separators: list[float]) -> list[Fraction]:
+def _ladder(c: list[int], separators: list[float], dyadic: bool = True) -> list[Fraction]:
     """Exact ladder for c, positive leading coefficient and c(0) > 0.
 
-    The rungs are -1/2^40, the n-1 float separators (decreasing,
-    rounded to denominators at most 2^32), and -(1 + max|c_k|), below
-    every root when the leading coefficient is 1.  Raises
-    BracketingError when no rung repair restores the alternation.
+    The rungs are -1/2^40, the n-1 float separators (decreasing, rounded
+    to the grid 2^-32, or with dyadic=False to denominators at most
+    2^32), and -(1 + max|c_k|), below every root when the leading
+    coefficient is 1.  Raises BracketingError unless sign(c(rung j)) is
+    exactly (-1)^j and the rungs decrease.
     """
-    rungs = [Fraction(-1, 2**40)]
-    rungs += [Fraction(t).limit_denominator(2**32) for t in separators]
-    rungs.append(Fraction(-(1 + max(abs(v) for v in c))))
-    return _fix_ladder(c, rungs)
+    if dyadic:
+        rungs = [Fraction(round(t * 2**32), 2**32) for t in separators]
+    else:
+        rungs = [Fraction(t).limit_denominator(2**32) for t in separators]
+    rungs = [Fraction(-1, 2**40), *rungs, Fraction(-(1 + max(abs(v) for v in c)))]
+    for j, r in enumerate(rungs):
+        if _rational_sign(c, r) != (-1) ** j:
+            raise BracketingError(j, float(r), (-1.0) ** j, "exact sign verification failed")
+    if any(a <= b for a, b in zip(rungs, rungs[1:])):
+        raise BracketingError(0, 0.0, 0.0, "ladder lost strict monotonicity")
+    return rungs
 
 
 def _tan_separators(n: int) -> list[float]:
@@ -334,50 +278,77 @@ def _legendre_separators(n: int) -> list[float]:
     (k - 1/2) pi / (n + 1/2) and k pi / (n + 1/2) (Szego, Orthogonal
     Polynomials, Thm 6.21.2), and t -> (t-1)/(t+1) is increasing.
     """
+    ts = [math.cos(k * math.pi / (n + 0.5)) for k in range(1, n)]
+    return [(t - 1) / (t + 1) for t in ts]
+
+
+def _legendre_roots(n: int) -> list[float]:
+    """Float roots of h_A: -tan^2(theta/2) = (t-1)/(t+1) at the zeros t = cos(theta) of P_n.
+
+    Newton in theta from Tricomi's phi + cot(phi) / 8 nu^2, phi = (k - 1/4) pi / nu,
+    nu = n + 1/2, with d/dtheta P_n(cos theta) = n (t P_n - P_(n-1)) / sin theta.
+    """
     out = []
-    for k in range(1, n):
-        t = math.cos(k * math.pi / (n + 0.5))
-        out.append((t - 1) / (t + 1))
+    nu = n + 0.5
+    for k in range(1, n + 1):
+        phi = (k - 0.25) * math.pi / nu
+        theta = phi + 1 / (8 * nu * nu * math.tan(phi))
+        for _ in range(20):
+            t = math.cos(theta)
+            p0, p1 = 1.0, t
+            for m in range(1, n):
+                p0, p1 = p1, ((2 * m + 1) * t * p1 - m * p0) / (m + 1)
+            slope = n * (t * p1 - p0)
+            step = p1 * math.sin(theta) / slope if slope else 0.0
+            theta -= step
+            if abs(step) < 1e-13:
+                break
+        out.append(-math.tan(theta / 2) ** 2)
     return out
 
 
-def _b_newton(n: int, theta: complex) -> complex | None:
-    """Complex Newton on g(theta) = h_B(-tan^2 theta) cos^(2n+1) theta.
+def _c_roots(n: int) -> list[float]:
+    """The roots of h_C: -tan^2((2k+1) pi / 4n), k = 0..n-1."""
+    return [-math.tan((2 * k + 1) * math.pi / (4 * n)) ** 2 for k in range(n)]
+
+
+def _b_newton(n: int, u: complex) -> complex | None:
+    """Complex Newton on g(theta) = h_B(-tan^2 theta) cos^(2n+1) theta, in u = pi/2 - theta.
 
     With x = -tan^2 theta, the even slice of (1+x)^(2n+1) becomes
     cos((2n+1) theta) / cos^(2n+1) theta and 1 + x becomes
-    cos(2 theta) / cos^2 theta, so
-    g = cos((2n+1) theta) + 2n sin^2 theta cos theta cos^(n-1)(2 theta).
-    Returns None when the iteration does not settle.
+    cos(2 theta) / cos^2 theta, so (-1)^n g = sin(k u) - 2n sin u cos^2 u
+    cos^(n-1)(2u), k = 2n+1.  In u, the largest roots |x| = cot^2 u keep
+    their relative precision.  None when the iteration does not settle.
     """
     k = 2 * n + 1
     try:
         for _ in range(50):
-            s, co, c2 = cmath.sin(theta), cmath.cos(theta), cmath.cos(2 * theta)
-            pw = c2 ** (n - 2)
-            g = cmath.cos(k * theta) + 2 * n * s * s * co * c2 * pw
-            dg = -k * cmath.sin(k * theta) + 2 * n * pw * (
-                (2 * s * co * co - s**3) * c2 - 2 * (n - 1) * s * s * co * cmath.sin(2 * theta)
+            s, co, c2 = cmath.sin(u), cmath.cos(u), cmath.cos(2 * u)
+            w = 2 * n * c2 ** (n - 2)
+            f = cmath.sin(k * u) - w * s * co * co * c2
+            df = k * cmath.cos(k * u) - w * co * (
+                (co * co - 2 * s * s) * c2 - 2 * (n - 1) * s * co * cmath.sin(2 * u)
             )
-            step = g / dg
-            theta -= step
+            step = f / df
+            u -= step
             if abs(step) < 1e-13:
-                return theta
+                return u
     except (ZeroDivisionError, OverflowError):
         pass
     return None
 
 
 def _b_proposal(n: int) -> tuple[list[float], list[complex]]:
-    """Float separators and complex-root guesses for h_B of degree n.
+    """Sign-change angles of g and complex-root guesses for h_B of degree n.
 
     g is sampled at 32 (2n+1) points of (0, pi/2); samples where |g|
     is below float noise are dropped (near pi/2 the two terms of g
-    cancel).  The separators are -tan^2 of the midpoints between
-    consecutive sign changes.  Each local minimum of |g| without a sign
-    change seeds complex Newton at a root of the parabola through the
-    three samples around it; every distinct non-real hit x, taken with
-    Im x > 0, is one guess for a complex-conjugate pair.
+    cancel).  A sign change gives the midpoint theta of its two samples,
+    near a real root -tan^2 theta.  Each local minimum of |g| without a
+    sign change seeds complex Newton at a root of the parabola through
+    the three samples around it; every distinct non-real hit x, taken
+    with Im x > 0, is one guess for a complex-conjugate pair.
     """
     k = 2 * n + 1
     steps = 32 * k
@@ -402,25 +373,24 @@ def _b_proposal(n: int) -> tuple[list[float], list[complex]]:
             elif g0 is not None and (g0 > 0) == (g1 > 0) and abs(g0) > abs(g1) <= abs(g):
                 dips.append((t0, g0, t1, g1, t, g))
         t0, g0, t1, g1 = t1, g1, t, g
-    separators = [-math.tan((a + b) / 2) ** 2 for a, b in zip(roots, roots[1:])]
     guesses: list[complex] = []
     for t0, g0, t1, g1, t2, g2 in dips:
         # g ~ g1 + b (t - t1) + a (t - t1)^2 through the three samples
         a = ((g2 - g1) / (t2 - t1) - (g1 - g0) / (t1 - t0)) / (t2 - t0)
         b = (g1 - g0) / (t1 - t0) + a * (t1 - t0)
-        theta = _b_newton(n, t1 + (-b + cmath.sqrt(b * b - 4 * a * g1)) / (2 * a))
-        if theta is None:
+        u = _b_newton(n, math.pi / 2 - t1 - (-b + cmath.sqrt(b * b - 4 * a * g1)) / (2 * a))
+        if u is None:
             continue
         try:
-            x = -cmath.tan(theta) ** 2
-        except OverflowError:
+            x = -(1 / cmath.tan(u)) ** 2
+        except (OverflowError, ZeroDivisionError):
             continue
         x = complex(x.real, abs(x.imag))
         if not cmath.isfinite(x) or x.imag <= 1e-9 * abs(x):
             continue
         if all(abs(x - y) > 1e-6 * abs(x) for y in guesses):
             guesses.append(x)
-    return separators, guesses
+    return roots, guesses
 
 
 @dataclass(frozen=True)
@@ -500,38 +470,52 @@ def _root_disc(c: list[int], x: complex, spacing: float) -> _Disc | None:
     return None
 
 
-def _b_certificate(c: list[int]) -> tuple[list[float], list[_Disc]]:
-    """Separators for the real roots of h_B and exact discs for its complex pairs.
+def _b_real_roots(n: int, thetas: list[float]) -> list[float]:
+    """-cot^2 u after real Newton in u = pi/2 - theta from each sign-change angle."""
+    out = []
+    for t in thetas:
+        u = _b_newton(n, complex(math.pi / 2 - t))
+        u = u.real if u is not None and 0 < u.real < math.pi / 2 else math.pi / 2 - t
+        cot = math.cos(u) / math.sin(u)
+        out.append(-cot * cot)
+    return out
 
-    Each disc lies in the upper half-plane and holds exactly one root,
-    so m pairwise disjoint discs prove 2m non-real roots, the conjugates
-    included.  Any guess without a proven disc, or two discs that meet,
-    leaves no discs at all, so the count cannot close.
+
+def _b_certificate(c: list[int]) -> tuple[list[float], list[_Disc], _Guesses]:
+    """Separators and real-root guesses for h_B, and exact discs for its complex pairs.
+
+    The separators are -tan^2 of the midpoints between consecutive
+    sign-change angles.  Each disc lies in the upper half-plane and
+    holds exactly one root, so m pairwise disjoint discs prove 2m
+    non-real roots, the conjugates included.  Any guess without a
+    proven disc, or two discs that meet, leaves no discs at all, so the
+    count cannot close.
     """
-    separators, guesses = _b_proposal(len(c) - 1)
+    n = len(c) - 1
+    thetas, guesses = _b_proposal(n)
+    separators = [-math.tan((a + b) / 2) ** 2 for a, b in zip(thetas, thetas[1:])]
+    real = partial(_b_real_roots, n, thetas)
     discs = []
     for x in guesses:
         # the separators stand in for the real roots they separate
         others = [abs(x - y) for y in separators + guesses if y != x]
         d = _root_disc(c, x, min([x.imag] + others))
         if d is None:
-            return separators, []
+            return separators, [], real
         discs.append(d)
-    return separators, discs if _disjoint(discs) else []
+    return separators, discs if _disjoint(discs) else [], real
 
 
-def _ladder_only(
-    separators: Callable[[int], list[float]]
-) -> Callable[[list[int]], tuple[list[float], list[_Disc]]]:
-    return lambda c: (separators(len(c) - 1), [])
+def _ladder_only(separators: Callable[[int], list[float]], roots: Callable[[int], list[float]]):
+    return lambda c: (separators(len(c) - 1), [], lambda: roots(len(c) - 1))
 
 
-# per family: float separators for the real roots and exact discs for
-# the others; B1 = A1 and B2 = C2 keep the plain ladders
+# per family: float separators for the real roots, exact discs for the
+# others, and float root guesses; B1 = A1 and B2 = C2 keep the plain ladders
 _CERTIFICATES = {
-    "A": _ladder_only(_legendre_separators),
-    "C": _ladder_only(_tan_separators),
-    "D": _ladder_only(_tan_separators),
+    "A": _ladder_only(_legendre_separators, _legendre_roots),
+    "C": _ladder_only(_tan_separators, _c_roots),
+    "D": _ladder_only(_tan_separators, lambda n: _d_roots(n)),
     "B": _b_certificate,
 }
 
@@ -541,25 +525,24 @@ def _closed_form(tag: str, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in _CLOSED_FORMS[tag](n).coeffs)
 
 
-def _certified_ladder(c: list[int]) -> list[Fraction] | None:
-    """Ladder of c when c is a closed form of its degree and the count closes.
+def _certificate(c: list[int]) -> tuple[list[Fraction] | None, _Guesses]:
+    """(ladder or None, float root guesses) of c; a ladder for a closed form whose count closes.
 
     The r + 1 rungs prove r distinct real roots and the m discs 2m
     non-real ones; when r + 2m is the degree, each ladder window holds
-    exactly one root and no real root lies outside the ladder.
+    exactly one root, no real root lies outside the ladder, and c is
+    squarefree.
     """
     n = len(c) - 1
-    key = tuple(c)
     for tag, certificate in _CERTIFICATES.items():
-        if n >= MIN_RANK[tag] and _closed_form(tag, n) == key:
-            separators, discs = certificate(c)
-            if len(separators) + 1 + 2 * len(discs) != n:
-                return None
+        if n >= MIN_RANK[tag] and _closed_form(tag, n) == tuple(c):
+            separators, discs, guesses = certificate(c)
             try:
-                return _ladder(c, separators)
+                closes = len(separators) + 1 + 2 * len(discs) == n
+                return (_ladder(c, separators) if closes else None), guesses
             except BracketingError:
-                return None
-    return None
+                return None, guesses
+    return None, list
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +590,8 @@ class _LadderCounter:
         return lo - 1 + (s == (1 if lo % 2 == 0 else -1))
 
 
-def _root_counter(c: list[int]) -> _SturmCounter | _LadderCounter:
-    """Ladder counter when one certifies, else Sturm; c squarefree, positive leading."""
-    rungs = _certified_ladder(c)
+def _root_counter(c: list[int], rungs: list[Fraction] | None) -> _SturmCounter | _LadderCounter:
+    """Ladder counter when rungs certify c, else Sturm; c squarefree, positive leading."""
     return _SturmCounter(_signed_chain(c)) if rungs is None else _LadderCounter(rungs)
 
 
@@ -626,7 +608,7 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     if p.degree < 1:
         return 0
     sf = _squarefree_int(p)
-    counter = _root_counter(sf)
+    counter = _root_counter(sf, _certificate(sf)[0])
     if interval is None:
         return counter.total
     q = math.lcm(interval.lo.denominator, interval.hi.denominator)
@@ -643,14 +625,9 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
 def is_real_rooted(p: Polynomial) -> RootReport:
     """Decide whether every root of p is real, counting multiplicities.
 
-    The distinct count comes from the squarefree factors.  A closed form
-    of type A, C or D is certified by a ladder alone; one of type B by a
-    ladder for its real roots plus disjoint Pellet discs, one for each
-    complex-conjugate pair, whose counts add up to the degree; any other
-    factor, or a certificate that does not close, is counted by its
-    Sturm chain.  The multiplicity-weighted count uses the factor
-    multiplicities, and p is real-rooted exactly when that weighted
-    count reaches the degree.
+    Each squarefree factor is counted by its certificate (a ladder, plus
+    Pellet discs for type B) or, failing that, its Sturm chain; p is
+    real-rooted when the multiplicity-weighted count reaches the degree.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -659,7 +636,8 @@ def is_real_rooted(p: Polynomial) -> RootReport:
     distinct = 0
     weighted = 0
     for f, m in squarefree_decomposition(p):
-        k = _root_counter(list(primitive_integer_coeffs(f))).total
+        c = list(primitive_integer_coeffs(f))
+        k = _root_counter(c, _certificate(c)[0]).total
         distinct += k
         weighted += m * k
     return RootReport(p.degree, distinct, weighted, weighted == p.degree)
@@ -704,18 +682,71 @@ def _bisect_sign(
     return a, b, e
 
 
-def _isolate(
-    c: list[int], width: Fraction, counter: _SturmCounter | _LadderCounter
-) -> tuple[Interval, ...]:
-    """Bisection on counter's root counts for squarefree c, then sign refinement."""
-    wn, wd = width.numerator, width.denominator
-    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
-    s_lo = _sign_at(c, -bound)
-    n_lo = counter.above(-bound, 0, s_lo)
-    n_hi = counter.above(bound, 0, _sign_at(c, bound))
-    found: list[Interval] = []
+def _pick_cells(
+    c: list[int], a: int, b: int, q: int, wn: int, wd: int,
+    above: Callable[[int, int, int], int], guesses: list[float],
+) -> list[tuple[int, int, int]] | None:
+    """The cells that bisecting (a, b) to width wn / wd ends in, read off root guesses.
+
+    above(n, e, s) counts roots of c above n / 2^e, s the sign there; a
+    guess x is a root of c(y / q).  Depth t is the first whose grid
+    cells are no wider than wn / wd.  Each guess takes its depth-t cell
+    i (i -/+ 1 if i holds no root) and descends along x while its cell
+    holds two or more roots; the cell must end with one root and exact
+    nonzero end signs.  If the cells are distinct and hold every root,
+    no root is a grid point at its cell's depth or above, nor a deeper
+    midpoint, whose cell would hold a second root; so bisection never
+    nudges and ends in these cells.  None otherwise.
+    """
+    t = 0
+    while (b - a) * wd > wn << t:
+        t += 1
+    span = b - a
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def at(d: int, i: int) -> tuple[int, int]:
+        """Sign of c and root count above grid point i of depth d."""
+        while d and not i & 1:
+            d, i = d - 1, i >> 1
+        if (d, i) not in memo:
+            m = (a << d) + i * span
+            s = _sign_at(c, m, d)
+            memo[d, i] = s, above(m, d, s)
+        return memo[d, i]
+
+    def held(d: int, i: int) -> int:
+        return at(d, i)[1] - at(d, i + 1)[1] if 0 <= i < 1 << d else 0
+
+    cells = []
+    for x in guesses:
+        if not math.isfinite(x):
+            return None
+        num, den = x.as_integer_ratio()
+        num, den = num * q - a * den, span * den  # x = a + span * num / den
+        i = (num << t) // den
+        i = next((j for j in (i, i - 1, i + 1) if held(t, j)), None)
+        if i is None:
+            return None
+        d = t
+        while held(d, i) > 1:
+            d += 1
+            i = min(max((num << d) // den, 2 * i), 2 * i + 1)
+        if held(d, i) != 1 or not at(d, i)[0] or not at(d, i + 1)[0]:
+            return None
+        cells.append((d, i))
+    if len(set(cells)) != len(cells) or len(cells) != held(0, 0):
+        return None
+    return [((a << d) + i * span, (a << d) + (i + 1) * span, d) for d, i in cells]
+
+
+def _bisect_cells(
+    c: list[int], a: int, b: int, wn: int, wd: int, counter: _SturmCounter | _LadderCounter
+) -> list[tuple[int, int, int]]:
+    """Bisection of (a, b) on counter's root counts for squarefree c, then sign refinement."""
+    s_a = _sign_at(c, a)
+    found = []
     # (a, sign of c at a, N(a), b, N(b), e); no endpoint is a root
-    stack = [(-bound, s_lo, n_lo, bound, n_hi, 0)]
+    stack = [(a, s_a, counter.above(a, 0, s_a), b, counter.above(b, 0, _sign_at(c, b)), 0)]
     while stack:
         a, sa, na, b, nb, e = stack.pop()
         roots_here = na - nb
@@ -723,15 +754,13 @@ def _isolate(
             continue
         if roots_here == 1:
             # c is squarefree, so its one root here is a sign change
-            a, b, e = _bisect_sign(c, a, b, e, sa, wn, wd)
-            found.append(Interval(Fraction(a, 1 << e), Fraction(b, 1 << e)))
+            found.append(_bisect_sign(c, a, b, e, sa, wn, wd))
             continue
         m, k, sm = _nonroot_split(c, a, b, e)
         nm = counter.above(m, e + k, sm)
         stack.append((a << k, sa, na, m, nm, e + k))
         stack.append((m, sm, nm, b << k, nb, e + k))
-    found.sort(key=lambda iv: iv.lo)
-    return tuple(found)
+    return found
 
 
 def isolate_real_roots(
@@ -739,12 +768,11 @@ def isolate_real_roots(
 ) -> tuple[Interval, ...]:
     """Disjoint rational intervals, each holding exactly one distinct real root.
 
-    Bisection on root counts (ladder or Sturm) from the Cauchy-style
-    bound 1 + max|a_k| / |a_d|, midpoints nudged off the roots; a
-    subinterval with one root is bisected on signs alone down to at
-    most the requested width.  Every point visited is dyadic, n / 2^e,
-    and is evaluated in integers; only the returned ends become
-    fractions.
+    The cells of bisection on root counts (ladder or Sturm) from the
+    bound 1 + max|a_k| / |a_d|, midpoints nudged off the roots, then on
+    signs alone down to at most the width.  A closed form's root guesses
+    pick them directly (_pick_cells) unless a check fails.  Input that
+    no ladder proves squarefree is reduced to its squarefree part.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -753,8 +781,18 @@ def isolate_real_roots(
         raise ValueError("width must be positive")
     if p.degree < 1:
         return ()
-    sf = _squarefree_int(p)
-    return _isolate(sf, width, _root_counter(sf))
+    c = list(primitive_integer_coeffs(p))
+    rungs, guesses = _certificate(c)
+    if rungs is None and (sf := _squarefree_int(p)) != c:
+        c, (rungs, guesses) = sf, _certificate(sf)
+    counter = _root_counter(c, rungs)
+    wn, wd = width.numerator, width.denominator
+    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
+    cells = _pick_cells(c, -bound, bound, 1, wn, wd, counter.above, guesses())
+    if cells is None:
+        cells = _bisect_cells(c, -bound, bound, wn, wd, counter)
+    found = [Interval(Fraction(a, 1 << e), Fraction(b, 1 << e)) for a, b, e in cells]
+    return tuple(sorted(found, key=lambda iv: iv.lo))
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +804,9 @@ def trig_values(n: int, phi: float) -> tuple[float, float]:
     """Window function and its perturbation term at angle phi.
 
     Under x = -tan^2(phi/2) the degree-n type D coordinator polynomial
-    is a positive multiple of cos(n phi) + envelope, where
-    envelope = (n/2) sin^2(phi) cos^(n-2)(phi).  Returns (value,
-    envelope).  For n >= 3 the envelope stays strictly below 1 in
-    magnitude, which is what makes the sign pattern at the nodes
-    j pi / n reliable.
+    is a positive multiple of value = cos(n phi) + envelope, with
+    envelope = (n/2) sin^2(phi) cos^(n-2)(phi), below 1 in magnitude for
+    n >= 3, so the signs at the nodes j pi / n alternate.
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
@@ -780,10 +816,27 @@ def trig_values(n: int, phi: float) -> tuple[float, float]:
     return math.cos(n * phi) + envelope, envelope
 
 
+def _d_root(n: int, lo: float, hi: float) -> float:
+    """-tan^2(phi/2) after Newton on the window function from the middle of (lo, hi)."""
+    phi = (lo + hi) / 2
+    for _ in range(20):
+        s, co = math.sin(phi), math.cos(phi)
+        slope = n * (s * co ** (n - 3) * (co * co - (n - 2) * s * s / 2) - math.sin(n * phi))
+        step = trig_values(n, phi)[0] / slope if slope else 0.0
+        phi -= step
+        if abs(step) < 1e-13:
+            break
+    return -math.tan(phi / 2) ** 2
+
+
+def _d_roots(n: int) -> list[float]:
+    return [_d_root(n, j * math.pi / n, (j + 1) * math.pi / n) for j in range(n)]
+
+
 @lru_cache(maxsize=64)
 def _d_ladder(n: int) -> tuple[Fraction, ...]:
-    """The certified ladder of the degree-n type D closed form, n >= 3."""
-    return tuple(_ladder(list(_closed_form("D", n)), _tan_separators(n)))
+    """The certified ladder of the degree-n type D closed form, n >= 3, as printed."""
+    return tuple(_ladder(list(_closed_form("D", n)), _tan_separators(n), dyadic=False))
 
 
 def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, ...]:
@@ -803,33 +856,18 @@ def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, .
     node_values = [trig_values(n, j * math.pi / n)[0] for j in range(n + 1)]
     if margin is not None:
         for j, value in enumerate(node_values):
-            signed = value if j % 2 == 0 else -value
-            if signed < margin:
-                raise BracketingError(
-                    j, value, margin, "float interlacing margin violated"
-                )
+            if (value if j % 2 == 0 else -value) < margin:
+                raise BracketingError(j, value, margin, "float interlacing margin violated")
     ladder = _d_ladder(n)
-
-    brackets = []
-    for j in range(n):
-        brackets.append(
-            TrigBracket(
-                j=j,
-                phi_lo=j * math.pi / n,
-                phi_hi=(j + 1) * math.pi / n,
-                g_lo=node_values[j],
-                g_hi=node_values[j + 1],
-                x_interval=Interval(ladder[j + 1], ladder[j]),
-            )
-        )
-    return tuple(brackets)
+    return tuple(
+        TrigBracket(j, j * math.pi / n, (j + 1) * math.pi / n, node_values[j],
+                    node_values[j + 1], Interval(ladder[j + 1], ladder[j]))
+        for j in range(n)
+    )
 
 
 def _one_root_window(b: TrigBracket | Interval, c: list[int]) -> bool:
-    """b is window j of the ladder of c, the type D closed form of degree n.
-
-    n + 1 alternating rungs for n roots leave one simple root per window.
-    """
+    """b is window j of the ladder of c, the type D closed form of degree n: one simple root."""
     n = len(c) - 1
     if not isinstance(b, TrigBracket) or n < 3 or tuple(c) != _closed_form("D", n):
         return False
@@ -840,57 +878,15 @@ def _one_root_window(b: TrigBracket | Interval, c: list[int]) -> bool:
     return 0 <= b.j < n and b.x_interval == Interval(ladder[b.j + 1], ladder[b.j])
 
 
-def _grid_cell(
-    c: list[int], a: int, b: int, s_a: int, wn: int, wd: int, near: Interval, q: int
-) -> tuple[int, int, int] | None:
-    """The cell that bisecting (a, b) to width wn / wd ends in, read off near.
-
-    (a, b) must hold exactly one root of c.  Of the cells that meet
-    q near, at most 3 since at most 2 grid points lie inside it, the
-    first whose ends have exact, nonzero, opposite signs holds that
-    root strictly inside: then no grid point is a root, bisection never
-    nudges, and it ends in this cell.  None if no cell qualifies.
-    """
-    t = 0
-    while (b - a) * wd > wn << t:
-        t += 1
-    span, top = b - a, 1 << t
-    # grid point i is ((a << t) + i span) / 2^t; first..last lie in q near
-    first = math.ceil((near.lo * q - a) * top / span)
-    last = math.floor((near.hi * q - a) * top / span)
-    if last - first > 1:
-        return None
-    signs = {0: s_a, top: -s_a}
-
-    def sign(i: int) -> int:
-        if i not in signs:
-            signs[i] = _sign_at(c, (a << t) + i * span, t)
-        return signs[i]
-
-    for i in range(max(first - 1, 0), min(last, top - 1) + 1):
-        if sign(i) * sign(i + 1) == -1:
-            return (a << t) + i * span, (a << t) + (i + 1) * span, t
-    return None
-
-
-def refine_bracket(
-    b: TrigBracket | Interval, p: Polynomial, width: Fraction, near: Interval | None = None
-) -> Interval:
+def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) -> Interval:
     """Shrink a sign-change bracket to the requested width by bisection.
 
-    The exact signs of p at the bracket endpoints must differ.  If the
-    current width already satisfies the request the input interval is
-    returned unchanged.  Scaled by the common denominator q of its
-    ends, the bracket becomes an integer one for q^d p(y / q), which the
-    dyadic kernel of isolate_real_roots bisects; the midpoints, and so
-    the result, are those of bisecting the rationals.
-
-    near, an interval around the same root no wider than the requested
-    width, such as its isolation interval, lets a bracket of
-    d_type_brackets(n) for its own polynomial skip the bisection: the
-    window holds one root, so the signs at the grid points in and beside
-    near fix the final cell.  A cell is taken only when its ends have
-    exact, nonzero, opposite signs; otherwise the bracket is bisected.
+    The exact signs of p at the ends must differ; a bracket already
+    narrow enough is returned unchanged.  Scaled by the common
+    denominator q of its ends, it is bisected as an integer bracket of
+    q^d p(y / q), with the midpoints of the rationals.  A bracket of
+    d_type_brackets(n) for its own p holds one root, and _pick_cells
+    reads the final cell off Newton on the window function.
     """
     iv = b.x_interval if isinstance(b, TrigBracket) else b
     width = Fraction(width)
@@ -904,8 +900,10 @@ def refine_bracket(
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("endpoint signs must be nonzero and opposite")
     wn, wd = width.numerator * q, width.denominator
-    cell = None
-    if near is not None and _one_root_window(b, c):
-        cell = _grid_cell(scaled, lo, hi, s_lo, wn, wd, near, q)
-    x, y, e = cell or _bisect_sign(scaled, lo, hi, 0, s_lo, wn, wd)
+    cells = None
+    if _one_root_window(b, c):
+        # one root: it lies above a point exactly when c there has the sign at lo
+        guess = [_d_root(len(c) - 1, b.phi_lo, b.phi_hi)]
+        cells = _pick_cells(scaled, lo, hi, q, wn, wd, lambda m, e, s: s == s_lo, guess)
+    x, y, e = cells[0] if cells else _bisect_sign(scaled, lo, hi, 0, s_lo, wn, wd)
     return Interval(Fraction(x, q << e), Fraction(y, q << e))

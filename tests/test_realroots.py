@@ -38,6 +38,11 @@ def b_coeffs(n):
     return list(primitive_integer_coeffs(h_of("B", n)))
 
 
+def ladder_of(c):
+    """The certified ladder of integer coefficients c, or None."""
+    return realroots._certificate(c)[0]
+
+
 def test_sturm_chain_of_quadratic():
     # x^2 - 2 -> derivative, then a positive constant
     chain = sturm_chain(poly([-2, 0, 1])).chain
@@ -98,7 +103,7 @@ def test_degree_sixteen_regression():
     assert not rep.is_real_rooted
     # the verdict rests on a 15-rung ladder and one disc around a complex pair
     c = b_coeffs(16)
-    assert len(realroots._certified_ladder(c)) == 15
+    assert len(ladder_of(c)) == 15
     assert len(realroots._b_certificate(c)[1]) == 1
 
 
@@ -318,13 +323,17 @@ def test_ladders_agree_with_sturm_through_rank_40():
         for n in range(2 if tag == "D" else 1, 41):
             h = h_of(tag, n)
             c = list(primitive_integer_coeffs(h))
-            ladder = realroots._certified_ladder(c)
+            ladder = ladder_of(c)
             if tag in "ABC" or (tag == "D" and n >= 3):
                 assert ladder is not None, f"{tag}{n} not ladder-certified"
             rep = is_real_rooted(h)
             want = sturm_only_report(h)
             assert (rep.distinct_real, rep.real_with_multiplicity, rep.is_real_rooted) == want
             assert isolate_real_roots(h) == sturm_only_intervals(h), f"{tag}{n}"
+            # at width 3 the roots near 0 share a cell, and picking descends
+            for width in (Fraction(3), Fraction(1, 10**6)) if n <= 24 else ():
+                want = sturm_only_intervals(h, width)
+                assert isolate_real_roots(h, width) == want, f"{tag}{n} at {width}"
 
 
 def test_ladder_counter_matches_sturm_at_rungs_and_roots():
@@ -333,7 +342,7 @@ def test_ladder_counter_matches_sturm_at_rungs_and_roots():
     # (n, e) as it stands
     h = h_of("C", 6)
     c = list(primitive_integer_coeffs(h))
-    ladder = realroots._LadderCounter(realroots._certified_ladder(c))
+    ladder = realroots._LadderCounter(ladder_of(c))
     sturm = RefSturm(h)
     points = list(ladder.rungs) + [Fraction(-10**6), Fraction(1), Fraction(0)]
     points += [(a + b) / 2 for a, b in zip(ladder.rungs, ladder.rungs[1:])]
@@ -348,17 +357,17 @@ def test_ladder_counter_matches_sturm_at_rungs_and_roots():
             assert realroots._sign_at(c, n, q.bit_length() - 1) == s
     # h_C(x^2) = ((1+x)^12 + (1-x)^12) / 2 has no rational roots, so use
     # a ladder polynomial with one: h_A(1) = 1 + x at x = -1
-    one = realroots._LadderCounter(realroots._certified_ladder([1, 1]))
+    one = realroots._LadderCounter(ladder_of([1, 1]))
     assert one.above(-1, 0, 0) == 0
     assert one.above(-2, 1, 0) == 0
     assert count_real_roots(poly([1, 1]), Interval(Fraction(-1), Fraction(0))) == 1
 
 
 def test_non_closed_forms_take_sturm():
-    assert realroots._certified_ladder([1, 3, 1, 1]) is None  # 1+3x+x^2+x^3
+    assert ladder_of([1, 3, 1, 1]) is None  # 1+3x+x^2+x^3
     # a product of closed forms is not itself a closed form
     prod = h_of("A", 3) * h_of("C", 2)
-    assert realroots._certified_ladder(list(primitive_integer_coeffs(prod))) is None
+    assert ladder_of(list(primitive_integer_coeffs(prod))) is None
     rep = is_real_rooted(prod)
     assert (rep.distinct_real, rep.is_real_rooted) == (5, True)
 
@@ -366,9 +375,9 @@ def test_non_closed_forms_take_sturm():
 @pytest.mark.parametrize("n, real", [(16, 14), (20, 18)])
 def test_type_b_certifies_with_one_disc(n, real):
     c = b_coeffs(n)
-    ladder = realroots._certified_ladder(c)
+    ladder = ladder_of(c)
     assert ladder is not None and len(ladder) - 1 == real
-    separators, discs = realroots._b_certificate(c)
+    separators, discs, _ = realroots._b_certificate(c)
     assert len(separators) + 1 == real and len(discs) == 1
     assert all(realroots._disc_holds(c, d) for d in discs)
 
@@ -423,7 +432,7 @@ def test_overlapping_discs_are_rejected():
 
 def assert_sturm_fallback(n):
     h = h_of("B", n)
-    assert realroots._certified_ladder(b_coeffs(n)) is None
+    assert ladder_of(b_coeffs(n)) is None
     rep = is_real_rooted(h)
     got = (rep.distinct_real, rep.real_with_multiplicity, rep.is_real_rooted)
     assert got == sturm_only_report(h)
@@ -435,10 +444,11 @@ def test_failed_b_certificate_falls_back_to_sturm(monkeypatch, drop):
     propose = realroots._b_proposal
 
     def short(n):
-        separators, guesses = propose(n)
+        # without one sign-change angle the ladder loses a separator
+        thetas, guesses = propose(n)
         if drop == "guess":
-            return separators, guesses[1:]
-        return separators[:3] + separators[4:], guesses
+            return thetas, guesses[1:]
+        return thetas[:3] + thetas[4:], guesses
 
     monkeypatch.setattr(realroots, "_b_proposal", short)
     assert_sturm_fallback(20)
@@ -446,12 +456,12 @@ def test_failed_b_certificate_falls_back_to_sturm(monkeypatch, drop):
 
 def test_two_discs_around_one_root_fall_back_to_sturm(monkeypatch):
     c = b_coeffs(20)
-    separators, (x,) = realroots._b_proposal(20)
+    thetas, (x,) = realroots._b_proposal(20)
     twin = x + 1e-3
     discs = [realroots._root_disc(c, y, 1e-3) for y in (x, twin)]
     assert all(d is not None and realroots._disc_holds(c, d) for d in discs)
     assert not realroots._disjoint(discs)
-    monkeypatch.setattr(realroots, "_b_proposal", lambda n: (separators, [x, twin]))
+    monkeypatch.setattr(realroots, "_b_proposal", lambda n: (thetas, [x, twin]))
     assert realroots._b_certificate(c)[1] == []
     assert_sturm_fallback(20)
 
@@ -502,19 +512,21 @@ def test_dyadic_roots_match_the_fraction_reference(factors, width):
             if lo < hi:
                 iv = Interval(lo, hi)
                 assert count_real_roots(p, iv) == sturm_only_count(p, iv)
-    # windows around 1 and 3 roots; a plain interval never takes the
-    # bracket shortcut, near or not
+    # windows around 1 and 3 roots; a plain interval is always bisected
     for k in (0, 2):
         for i in range(len(ivs) - k):
             window = Interval(ivs[i].lo, ivs[i + k].hi)
             want = ref_refine(window, p, width / 16)
             assert refine_bracket(window, p, width / 16) == want
-            assert refine_bracket(window, p, width / 16, ivs[i + k // 2]) == want
+
+
+def cli_roots(capsys, n, width):
+    cli.main(["roots", "--type", "D", "--n", str(n), "--width", width, "--format", "json"])
+    return json.loads(capsys.readouterr().out)
 
 
 def cli_brackets(capsys, n, width):
-    cli.main(["roots", "--type", "D", "--n", str(n), "--width", width, "--format", "json"])
-    return json.loads(capsys.readouterr().out)["brackets"]
+    return cli_roots(capsys, n, width)["brackets"]
 
 
 @pytest.mark.parametrize("width", ["1/1024", "1/7", "3", "1/1000000"])
@@ -526,27 +538,139 @@ def test_d_brackets_equal_plain_bisection(capsys, width):
         assert got == [[iv.lo, iv.hi] for iv in want], f"D{n}"
 
 
-@pytest.mark.parametrize("wrong", ["neighbour", "moved"])
-def test_d_brackets_fall_back_on_a_wrong_isolation_interval(capsys, monkeypatch, wrong):
-    n, width = 12, "1/1000000"
-    want = cli_brackets(capsys, n, width)
-    ivs = isolate_real_roots(h_of("D", n), Fraction(width))
-    if wrong == "neighbour":
-        ivs = ivs[1:] + ivs[:1]
-    else:
-        # past the root's cell and the next one: every grid point near
-        # offers lies above the root
-        w = Fraction(width)
-        ivs = tuple(Interval(iv.hi + 2 * w, iv.hi + 3 * w) for iv in ivs)
-    monkeypatch.setattr(cli, "isolate_real_roots", lambda p, w: ivs)
+def float_roots(p):
+    return [float((iv.lo + iv.hi) / 2) for iv in isolate_real_roots(p, Fraction(1, 2**40))]
+
+
+def wrong_guesses(monkeypatch, wrong, roots):
+    """Feed _pick_cells wrong root guesses; return the list of bisections run.
+
+    neighbour: the first guess is replaced by the root nearest to it;
+    moved: every guess lies 3 widths above itself, past its cell and the
+    next; dropped and duplicated: the first guess is left out or given
+    twice; next_cell: every guess lies one grid cell above itself.
+    """
+    pick = realroots._pick_cells
+
+    def wrong_pick(c, a, b, q, wn, wd, above, guesses):
+        g = list(guesses)
+        if wrong == "neighbour":
+            g[0] = sorted(roots, key=lambda r: abs(r - g[0]))[1]
+        elif wrong == "moved":
+            g = [x + 3 * wn / (wd * q) for x in g]
+        elif wrong == "dropped":
+            g = g[1:]
+        elif wrong == "next_cell":
+            t = 0
+            while (b - a) * wd > wn << t:
+                t += 1
+            g = [x + (b - a) / (q << t) for x in g]
+        else:
+            g = g + g[:1]
+        return pick(c, a, b, q, wn, wd, above, g)
+
+    monkeypatch.setattr(realroots, "_pick_cells", wrong_pick)
     bisected = []
     bisect = realroots._bisect_sign
     monkeypatch.setattr(realroots, "_bisect_sign", lambda *a: bisected.append(a) or bisect(*a))
-    assert cli_brackets(capsys, n, width) == want
-    assert len(bisected) == n
+    return bisected
 
 
-def test_three_root_trig_bracket_is_bisected():
+WRONG = ["neighbour", "moved", "dropped", "duplicated"]
+
+
+@pytest.mark.parametrize("wrong", WRONG)
+def test_d_brackets_fall_back_on_a_wrong_guess(capsys, monkeypatch, wrong):
+    n, width = 12, "1/1000000"
+    want = cli_roots(capsys, n, width)
+    roots = float_roots(h_of("D", n))
+    bisected = wrong_guesses(monkeypatch, wrong, roots)
+    assert cli_roots(capsys, n, width) == want
+    # every isolation interval and every bracket
+    assert len(bisected) == 2 * n
+
+
+@pytest.mark.parametrize("wrong", WRONG)
+@pytest.mark.parametrize("tag", "ABCD")
+def test_wrong_guesses_fall_back_to_bisection(monkeypatch, tag, wrong):
+    h = h_of(tag, 20)
+    bisected = wrong_guesses(monkeypatch, wrong, float_roots(h))
+    for width in (Fraction(1, 1024), Fraction(3)):
+        want = sturm_only_intervals(h, width)
+        bisected.clear()
+        assert isolate_real_roots(h, width) == want
+        assert len(bisected) == len(want)
+
+
+@pytest.mark.parametrize("tag", "ABCD")
+def test_a_guess_one_cell_off_still_picks_the_cell(monkeypatch, tag):
+    # the cell next to the guess's own is tried when that one holds no root
+    h, width = h_of(tag, 20), Fraction(1, 1024)
+    want = sturm_only_intervals(h, width)
+    bisected = wrong_guesses(monkeypatch, "next_cell", [])
+    assert isolate_real_roots(h, width) == want
+    assert bisected == []
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 1024), Fraction(3)])
+def test_picking_signs_each_point_once(monkeypatch, width):
+    # C20's roots get their cells from 2 signs each, the cell ends; at
+    # width 3 picking descends, and a child shares an end with its parent
+    n = 20
+    points = []
+    sign_at = realroots._sign_at
+
+    def spy(c, m, e=0):
+        points.append(Fraction(m, 1 << e))
+        return sign_at(c, m, e)
+
+    monkeypatch.setattr(realroots, "_sign_at", spy)
+    isolate_real_roots(h_of("C", n), width)
+    assert len(points) == len(set(points))
+    if width < 1:
+        # n + 1 ladder rungs, the two bounds, two ends per root
+        assert len(points) == (n + 1) + 2 + 2 * n
+
+
+def is_grid_cell(iv, a, span):
+    """iv is a cell of the dyadic grid on [a, a + span]."""
+    k = span / iv.width
+    return k.denominator == 1 and k.numerator & (k.numerator - 1) == 0 and (
+        (iv.lo - a) / iv.width
+    ).denominator == 1
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(-40, 40)),
+        min_size=1,
+        max_size=5,
+        unique_by=dyadic,
+    ),
+    st.sampled_from(WIDTHS),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_guesses_pick_the_bisection_cells(factors, width):
+    # with the exact roots as guesses the picked cells are those of
+    # bisection; when a root is a grid point that bisection meets, it
+    # nudges off the grid, and the picker must give up
+    p = poly([1])
+    for a, b in factors:
+        p = p * poly([-b, 2**a])
+    c = list(primitive_integer_coeffs(p))
+    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
+    counter = realroots._SturmCounter(realroots._signed_chain(c))
+    guesses = [float(dyadic(f)) for f in factors]
+    wn, wd = width.numerator, width.denominator
+    cells = realroots._pick_cells(c, -bound, bound, 1, wn, wd, counter.above, guesses)
+    want = sturm_only_intervals(p, width)
+    assert (cells is not None) == all(is_grid_cell(iv, -bound, 2 * bound) for iv in want)
+    if cells is not None:
+        got = [Interval(Fraction(x, 1 << e), Fraction(y, 1 << e)) for x, y, e in cells]
+        assert sorted(got, key=lambda iv: iv.lo) == list(want)
+
+
+def test_three_root_trig_bracket_is_bisected(monkeypatch):
     # a TrigBracket that spans three windows of the D8 ladder has the
     # signs of a bracket, but its final cell depends on the bisection path
     n, width = 8, Fraction(1, 1024)
@@ -554,8 +678,10 @@ def test_three_root_trig_bracket_is_bisected():
     b = TrigBracket(j=0, phi_lo=0.0, phi_hi=1.0, g_lo=1.0, g_hi=-1.0,
                     x_interval=Interval(ladder[3], ladder[0]))
     want = ref_refine(b.x_interval, h, width)
-    for near in isolate_real_roots(h, width)[-3:]:
-        assert refine_bracket(b, h, width, near) == want
+    for iv in isolate_real_roots(h, width)[-3:]:
+        # a guess at each of its roots
+        monkeypatch.setattr(realroots, "_d_root", lambda n, lo, hi, x=float(iv.lo): x)
+        assert refine_bracket(b, h, width) == want
 
 
 def test_bracket_validates_sign_pattern():
