@@ -130,11 +130,19 @@ def _ltype(args) -> LatticeType:
 
 
 def _poly_for(lt: LatticeType, allow_expensive: bool) -> Polynomial:
-    """Coordinator polynomial: closed form, or recovery from a census."""
+    """Coordinator polynomial: closed form, or recovery from a census.
+
+    G2 and F4 are counted to K = rank + 2, so the recovery's re-expansion
+    checks two levels it was not built from.  E6, E7 and E8 stay at
+    K = rank, where the re-expansion only reproduces its input: the BFS
+    already takes over a second for E6 at K = 6, and each further level
+    costs several times more.
+    """
     if lt.tag in CLOSED_FORM_TAGS:
         return coordinator(lt).poly
     spec = lattice_spec(lt, allow_expensive)
-    return recover_coordinator(enumerate_lengths(spec, lt.rank))
+    slack = 0 if lt.tag in ("E6", "E7", "E8") else 2
+    return recover_coordinator(enumerate_lengths(spec, lt.rank + slack))
 
 
 def _cmd_gen(args) -> tuple[str, int]:

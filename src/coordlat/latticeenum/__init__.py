@@ -8,22 +8,18 @@ forms and handles the exceptional lattices that have none here.
 
 One breadth-first kernel does the counting.  It keys each point by a
 single Python int, so a generator step is one integer addition, and it
-keeps only the last two levels of the walk instead of the whole ball.
+keeps one key per pair x, -x of the last two levels of the walk only.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 from typing import Optional
 
-from ..coordinator import (
-    CLOSED_FORM_TAGS,
-    LatticeType,
-    coordinator,
-)
+from ..coordinator import CLOSED_FORM_TAGS, LatticeType, coordinator
 from ..exactpoly import Polynomial, binom, poly, series_expand
 
 __all__ = [
@@ -68,24 +64,24 @@ class ReconstructionError(ValueError):
 
 
 def _span_rank(vectors: tuple[tuple[int, ...], ...]) -> int:
-    """Rank of the span over the rationals, by exact elimination."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                for j in range(c, cols):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
-    return r
+    """Rank of the span over the rationals, by fraction-free elimination.
+
+    Each row is zero at the pivots of the rows before it, so a vector
+    reduced against the rows in the order found is zero at all their
+    pivots, and when nonzero it is a new row.
+    """
+    rows: dict[int, list[int]] = {}  # pivot column -> row
+    for v in vectors:
+        for p, r in rows.items():
+            if v[p]:
+                v = [r[p] * x - v[p] * y for x, y in zip(v, r)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            g = math.gcd(*v)
+            rows[p] = [x // g for x in v]
+            if len(rows) == len(v):
+                break
+    return len(rows)
 
 
 @dataclass(frozen=True)
@@ -309,12 +305,14 @@ def enumerate_lengths(
     get distinct keys and a generator step is one integer addition.
     The generators are symmetric, so a level-k point only neighbours
     levels k-1, k and k+1: level k is the neighbourhood of level k-1
-    minus levels k-1 and k-2, and no older level is kept.
+    minus levels k-1 and k-2, and no older level is kept.  key(-x) is
+    -key(x) and each level is closed under negation, so a level keeps
+    one key, abs(key), per pair x, -x and counts twice its size.
 
     backend is kept only for compatibility with older callers: "auto"
     and "python" both run this kernel, anything else is a ValueError.
-    Raises MemoryBudgetExceeded when the two kept levels outgrow the
-    budget before K.
+    Raises MemoryBudgetExceeded when the keys of the two kept levels
+    outgrow the budget before K.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -329,8 +327,10 @@ def enumerate_lengths(
     prev, cur = set(), {0}
     counts = [1]
     for level in range(1, K + 1):
-        prev, cur = cur, {v + d for v in cur for d in deltas} - cur - prev
-        counts.append(len(cur))
+        nxt = {abs(v + d) for v in cur for d in deltas}
+        nxt.difference_update(cur, prev)
+        prev, cur = cur, nxt
+        counts.append(2 * len(cur))
         if budget is not None and level < K and (len(prev) + len(cur)) * key_bytes > budget:
             raise MemoryBudgetExceeded(level, tuple(counts))
     return LengthCensus(spec, K, tuple(counts))

@@ -37,6 +37,24 @@ def test_gen_exceptional_through_recovery(capsys):
     assert json.loads(out) == {"type": "G2", "n": 2, "coeffs": ["1", "10", "7"]}
 
 
+@pytest.mark.parametrize("tag", ["G2", "F4"])
+def test_gen_recovery_checks_levels_beyond_the_rank(capsys, monkeypatch, tag):
+    from coordlat import cli
+    from coordlat.latticeenum import LengthCensus
+
+    real = cli.enumerate_lengths
+
+    def corrupted(spec, K, **kw):
+        counts = list(real(spec, K, **kw).counts)
+        counts[spec.rank + 1] += 2
+        return LengthCensus(spec, K, counts)
+
+    monkeypatch.setattr(cli, "enumerate_lengths", corrupted)
+    code, out, err = run(capsys, "gen", "--type", tag)
+    assert (code, out) == (2, "")
+    assert err == "error: recovered polynomial fails to reproduce the census\n"
+
+
 def test_analyze_text_fields(capsys):
     code, out, _ = run(capsys, "analyze", "--type", "B", "--n", "16")
     assert code == 0

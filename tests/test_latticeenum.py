@@ -22,6 +22,7 @@ from coordlat.latticeenum import (
     recover_coordinator,
     save_generator_table,
 )
+from coordlat.latticeenum import _span_rank
 
 
 def lt(tag, n=None):
@@ -144,6 +145,113 @@ def test_unimodular_image_keeps_the_census():
         skew = _unimodular_image(spec, lower, upper)
         assert skew.max_component > 6
         assert enumerate_lengths(skew, K).counts == enumerate_lengths(spec, K).counts
+
+
+def _reference_span_rank(vectors):
+    """Rank by Gaussian elimination over Fraction, row by pivot column."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                for j in range(c, cols):
+                    rows[i][j] -= f * rows[r][j]
+        r += 1
+    return r
+
+
+def _reference_counts(spec, K):
+    """Census by the BFS that stores both x and -x of every pair."""
+    B = 2 * K * spec.max_component + 1
+    deltas = [sum(c * B**i for i, c in enumerate(g)) for g in spec.generators]
+    prev, cur = set(), {0}
+    counts = [1]
+    for _ in range(K):
+        prev, cur = cur, {v + d for v in cur for d in deltas} - cur - prev
+        counts.append(len(cur))
+    return tuple(counts)
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 12 integer rows in the span of at most `cols` drawn rows.
+
+    Small mixing coefficients make zero, duplicate and dependent rows
+    common, and the span is often rank-deficient.
+    """
+    cols = draw(st.integers(1, 6))
+    entries = st.integers(-5, 5) | st.integers(-(10**6), 10**6)
+    base = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=cols))
+    mixes = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    rows = [
+        [sum(m * b[j] for m, b in zip(mix, base)) for j in range(cols)]
+        for mix in draw(st.lists(mixes, max_size=8))
+    ]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    if draw(st.booleans()):
+        rows.append([0] * cols)
+    return draw(st.permutations(rows + base))
+
+
+@given(_matrices())
+@settings(max_examples=200, deadline=None)
+def test_span_rank_matches_fraction_elimination(rows):
+    assert _span_rank(tuple(map(tuple, rows))) == _reference_span_rank(rows)
+
+
+def test_wrong_declared_rank_is_rejected():
+    e7 = lattice_spec(lt("E7"), allow_expensive=True)
+    assert (e7.ambient_dim, e7.rank) == (8, 7)
+    with pytest.raises(ValueError, match="declared rank 8, span has rank 7"):
+        LatticeSpec(8, 8, e7.generators)
+
+
+BUILT_IN = [lt(t, n) for t in "ABC" for n in range(1, 5)] + [lt("D", n) for n in range(2, 6)]
+BUILT_IN += [lt(t) for t in ("G2", "F4", "E6", "E7", "E8")]
+
+
+@pytest.mark.parametrize("t", BUILT_IN, ids=str)
+def test_kernel_matches_full_bfs_on_built_in_tables(t):
+    spec = lattice_spec(t, allow_expensive=True)
+    K = {"E6": 2, "E7": 2, "E8": 2, "F4": 3}.get(t.tag, 4)
+    assert enumerate_lengths(spec, K).counts == _reference_counts(spec, K)
+
+
+@st.composite
+def _symmetric_tables(draw):
+    """Generator sets closed under negation, components up to 6 in size.
+
+    Spans may be rank-deficient and generators collinear.
+    """
+    dim = draw(st.integers(1, 4))
+    comp = st.integers(-6, 6)
+    vecs = draw(st.lists(st.lists(comp, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    gens = {tuple(v) for v in vecs if any(v)} or {(1,) + (0,) * (dim - 1)}
+    gens |= {tuple(-c for c in g) for g in gens}
+    return LatticeSpec(dim, _reference_span_rank(sorted(gens)), tuple(gens))
+
+
+@given(_symmetric_tables(), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_full_bfs_on_drawn_tables(spec, K):
+    assert enumerate_lengths(spec, K).counts == _reference_counts(spec, K)
+
+
+@pytest.mark.parametrize("gens", [((1,), (-1,), (2,), (-2,)), ((3,), (-3,)),
+                                  ((1, 2), (-1, -2), (2, 4), (-2, -4)),
+                                  ((6, -5, 0), (-6, 5, 0), (1, 1, 1), (-1, -1, -1))])
+def test_kernel_matches_full_bfs_on_collinear_and_skewed_tables(gens):
+    spec = LatticeSpec(len(gens[0]), _reference_span_rank(gens), gens)
+    assert enumerate_lengths(spec, 7).counts == _reference_counts(spec, 7)
 
 
 def test_line_census_with_wide_steps():
