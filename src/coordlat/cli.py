@@ -166,12 +166,15 @@ def _verdicts(h: Polynomial, order: int) -> tuple:
     """The verdicts analyze and report share, and the reports with their witnesses.
 
     The record holds them in analyze's print order and ends with the
-    ``pf<order>`` verdict.
+    ``pf<order>`` verdict.  A real-rooted h with nonnegative coefficients
+    is PF at every order (Aissen-Schoenberg-Whitney), so the exact
+    real-root certificate is passed on and ``pf_minor_check`` then
+    evaluates no minors; any other h gets the minor scan and its witness.
     """
     rr = is_real_rooted(h)
     lc = check_log_concave(h.coeffs)
     um = check_unimodal(h.coeffs)
-    pf = pf_minor_check(h.coeffs, order)
+    pf = pf_minor_check(h.coeffs, order, real_rooted=rr.is_real_rooted)
     record = [
         ("degree", rr.degree),
         ("distinct_real", rr.distinct_real),

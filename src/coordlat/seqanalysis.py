@@ -7,6 +7,10 @@ carries a witness that can be re-verified by direct computation.  A
 passing positivity test up to order k is certified by the C(n + k, k)
 order-k minors on the first k columns, which are Schur functions of the
 sequence and decide every smaller order too (see `pf_minor_check`).
+When the caller has proven that the polynomial sum a_k x^k has only
+real roots, the pass follows from that proof and no minor is evaluated:
+by Aissen-Schoenberg-Whitney a nonnegative sequence whose polynomial is
+real-rooted is a Polya frequency sequence, all orders at once.
 """
 from __future__ import annotations
 
@@ -198,7 +202,9 @@ def _column_solid_nonnegative(a: list[int], k: int) -> bool:
     return True
 
 
-def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
+def pf_minor_check(
+    seq: Sequence, max_order: int = 3, real_rooted: bool = False
+) -> SequenceVerdict:
     """Nonnegativity of all Toeplitz minors of the sequence up to max_order.
 
     The matrix entries are a_{i-j} (zero outside the sequence range).
@@ -208,6 +214,19 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
     verdicts are unaffected.  This is a necessary condition for the
     sequence to be a Polya frequency sequence, not the full (all-orders)
     decision.
+
+    real_rooted=True states that the polynomial a_0 + a_1 x + ... +
+    a_n x^n is proven to have only real roots, as `is_real_rooted`
+    certifies; the verdict is then a pass and no minor is evaluated.
+    This is the easy direction of Aissen-Schoenberg-Whitney (J. Analyse
+    Math. 2, 1952).  Nonnegative coefficients make the polynomial
+    positive for x > 0, so it is c (x + r_1) ... (x + r_d) with c > 0 and
+    every r_i >= 0.  The Toeplitz matrix of a product is the product of
+    the factors' Toeplitz matrices, and each factor's is bidiagonal with
+    entries r_i and 1, so its minors are products of entries, or zero.
+    By Cauchy-Binet every minor of the product, of every order, is then
+    a sum of products of nonnegative minors.  Without real_rooted the
+    minors decide, as follows.
 
     A pass is certified by C(n + k, k) minors, k = max_order.  Shifting
     the sequence shifts the rows of the Toeplitz matrix and leaves its
@@ -249,6 +268,9 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
     if max_order > n + 1:
         max_order = n + 1
         clamped = True
+    passed = SequenceVerdict(f"pf_order_{max_order}", True, None, clamped)
+    if real_rooted or max_order < 2:
+        return passed
 
     lcm = 1
     for v in vals:
@@ -257,17 +279,16 @@ def pf_minor_check(seq: Sequence, max_order: int = 3) -> SequenceVerdict:
 
     def fail(rows, cols, det):
         return SequenceVerdict(
-            f"pf_order_{max_order}",
+            passed.property,
             False,
             MinorWitness(rows, cols, Fraction(det, lcm ** len(rows))),
             clamped,
         )
 
-    if max_order < 2 or (
-        _pf2_by_log_concavity(a)
-        and (max_order == 2 or _column_solid_nonnegative(a, max_order))
+    if _pf2_by_log_concavity(a) and (
+        max_order == 2 or _column_solid_nonnegative(a, max_order)
     ):
-        return SequenceVerdict(f"pf_order_{max_order}", True, None, clamped)
+        return passed
 
     # A minor is negative; the canonical scan finds the first one.
     P = n + max_order

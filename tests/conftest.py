@@ -1,4 +1,5 @@
-"""Shared fixtures: a collector for the acceptance criterion verdicts."""
+"""Shared fixtures: a collector for the acceptance criterion verdicts, and a
+spy on the Toeplitz-minor evaluators."""
 import pytest
 
 _criterion_lines: list[tuple[int, str]] = []
@@ -19,6 +20,28 @@ def criterion_log():
         print(line)
 
     return record
+
+
+@pytest.fixture
+def minor_calls(monkeypatch):
+    """Names of the seqanalysis minor evaluators called during the test.
+
+    Every path of pf_minor_check that evaluates a minor of order 2 or
+    more starts with the log-concavity test, so an empty list means no
+    minor was evaluated.
+    """
+    from coordlat import seqanalysis
+
+    calls = []
+    for name in ("_pf2_by_log_concavity", "_column_solid_nonnegative", "_bareiss_det"):
+        real = getattr(seqanalysis, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(seqanalysis, name, spy)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

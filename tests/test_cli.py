@@ -80,6 +80,57 @@ def test_analyze_expectation_holds(capsys):
     assert "expect_failed" not in out
 
 
+def analyze_json(capsys, *argv):
+    code, out, err = run(capsys, "analyze", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+# the real-rooted polynomials: A/C/D at every rank, B up to rank 15
+REAL_ROOTED_RANKS = {
+    "A": range(1, 21), "B": range(1, 16), "C": range(1, 21), "D": range(2, 21),
+    "G2": [None], "F4": [None],
+}
+
+
+@pytest.mark.parametrize("tag", list(REAL_ROOTED_RANKS))
+def test_real_rooted_analyze_evaluates_no_minors(capsys, minor_calls, tag):
+    for n in REAL_ROOTED_RANKS[tag]:
+        rank = [] if n is None else ["--n", str(n)]
+        got = analyze_json(capsys, "--type", tag, *rank)
+        assert got["real_rooted"] and got["pf"]["holds"], (tag, n)
+    assert minor_calls == []
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_complex_roots_get_the_minor_scan(capsys, minor_calls, n):
+    from coordlat import LatticeType, coordinator
+    from coordlat.seqanalysis import pf_minor_check
+
+    got = analyze_json(capsys, "--type", "B", "--n", str(n))
+    assert not got["real_rooted"]
+    assert "_column_solid_nonnegative" in minor_calls
+    want = pf_minor_check(coordinator(LatticeType("B", n)).poly.coeffs, 3)
+    assert got["pf"] == {"order": 3, "holds": want.holds, "clamped": want.clamped}
+
+
+EXPECT_PF = (
+    [(f"--type A --n 1 --max-order {k}", k, k > 2) for k in range(1, 5)]
+    + [(f"--type G2 --max-order {k}", k, k > 3) for k in range(1, 7)]
+    + [(f"--type B --n {n} --max-order 3", 3, False) for n in (15, 16, 20)]
+)
+
+
+@pytest.mark.parametrize(
+    "argv,order,clamped",
+    EXPECT_PF,
+    ids=[a.replace("--", "").replace(" ", "-") for a, *_ in EXPECT_PF],
+)
+def test_expect_pf_exit_codes(capsys, argv, order, clamped):
+    got = analyze_json(capsys, *argv.split(), "--expect", "pf")
+    assert got["pf"] == {"order": order, "holds": True, "clamped": clamped}
+
+
 def test_analyze_json(capsys):
     code, out, _ = run(capsys, "analyze", "--type", "D", "--n", "5", "--format", "json")
     obj = json.loads(out)

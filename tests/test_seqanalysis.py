@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coordlat.exactpoly import Polynomial
+from coordlat.realroots import is_real_rooted
 from coordlat.seqanalysis import (
     InternalZeroWitness,
     LogConcavityWitness,
@@ -303,3 +305,48 @@ def test_pinned_witnesses():
     assert v.witness == MinorWitness((1, 2, 4, 5), (0, 1, 2, 3), Fraction(-1))
     v = pf_minor_check([1] * 30, 3)
     assert v.witness == MinorWitness((1, 2, 30), (0, 1, 2), Fraction(-1))
+
+
+# products of (a x + b) with integers a, b >= 0, not both zero; b = 0
+# puts a root at 0 (a leading zero), a = 0 a trailing zero
+real_rooted_sequences = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), max_size=5
+).map(_product_of_linear_factors)
+
+
+@given(real_rooted_sequences, st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+@example([0, 0, 1, 2, 1], 4)  # x^2 (x + 1)^2
+@example([1, 3, 3, 1, 0], 4)
+@example([3], 2)
+def test_real_root_certificate_gives_the_minor_verdict(seq, order):
+    rr = is_real_rooted(Polynomial(tuple(seq)))
+    assert rr.is_real_rooted
+    cert = pf_minor_check(seq, order, real_rooted=rr.is_real_rooted)
+    minors = pf_minor_check(seq, order)
+    assert (cert.holds, cert.clamped, cert.property) == (
+        minors.holds,
+        minors.clamped,
+        minors.property,
+    )
+    assert cert.witness is None
+
+
+def test_real_root_certificate_evaluates_no_minors(minor_calls):
+    for order in range(1, 8):
+        v = pf_minor_check([1, 4, 6, 4, 1], order, real_rooted=True)
+        k = min(order, 5)
+        assert (v.holds, v.clamped, v.property) == (True, order > 5, f"pf_order_{k}")
+    assert minor_calls == []
+
+
+def test_complex_roots_still_reach_the_minors(minor_calls):
+    rr = is_real_rooted(Polynomial((1, 1, 1)))
+    assert not rr.is_real_rooted
+    v = pf_minor_check([1, 1, 1], 3, real_rooted=rr.is_real_rooted)
+    assert not v.holds
+    assert v.witness == MinorWitness((1, 2, 3), (0, 1, 2), Fraction(-1))
+    assert "_column_solid_nonnegative" in minor_calls
+    # (x - 1)^2 is real-rooted, but the rule needs nonnegative entries
+    with pytest.raises(ValueError):
+        pf_minor_check([1, -2, 1], 3, real_rooted=True)
