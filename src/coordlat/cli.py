@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .coordinator import (
@@ -337,6 +338,8 @@ def _add_common(sp, n_required: bool = False) -> None:
     sp.add_argument("--allow-expensive", action="store_true")
 
 
+# built once per process: parse_args keeps no state in the parser
+@cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coordlat",

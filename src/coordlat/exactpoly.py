@@ -262,9 +262,12 @@ def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-# a Mersenne prime; residues stay below 2^61, and every closed-form
-# coordinator polynomial has leading coefficient 1, never divisible by it
-_SQF_PRIME = 2**61 - 1
+# the largest prime below 2^30 (deterministic Miller-Rabin): a residue
+# fits in one 30-bit digit of a CPython int, so each product is two
+# digits and % takes the short division.  Any prime that does not
+# divide the leading coefficient gives a sound certificate, and every
+# closed-form coordinator polynomial has leading coefficient 1
+_SQF_PRIME = 2**30 - 35
 
 
 def _gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
@@ -309,7 +312,7 @@ def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...
     product of g_i^{m_i}, each g_i is primitive with positive leading
     coefficient, and the m_i are distinct.  Ordered by multiplicity.
 
-    A coprimality certificate modulo one large prime settles the common
+    A coprimality certificate modulo one prime settles the common
     squarefree case without the integer remainder sequence; only inputs
     it cannot certify go through Yun's integer gcds.
     """

@@ -15,8 +15,10 @@ and a rung whose exact sign fails sends the polynomial to Sturm.
 Type B has complex roots from rank 16 on, so its ladder is paired with
 root discs.  Under x = -tan^2(theta) h_B is a positive multiple of
 g(theta) = cos((2n+1) theta) + 2n sin^2 theta cos theta cos^(n-1)(2 theta)
-on (0, pi/2).  Sign changes of g on a float grid give the rungs; complex
-Newton from the dips of |g| gives one guess per complex pair, proven by
+on (0, pi/2).  Sign changes of g give the rungs; g is sampled densely
+only on the half-periods of cos((2n+1) theta) where the second term
+reaches 1/4, near pi/2 and theta = 1/sqrt(2n).  Complex Newton from the
+dips of |g| gives one guess per complex pair, proven by
 Pellet's test (Rouche) on a Gaussian-integer Taylor shift in a disc off
 the real axis.  Only when r + 2m is the degree does the ladder certify.
 
@@ -45,6 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable
 
 from .coordinator import _CLOSED_FORMS, MIN_RANK
@@ -342,29 +345,41 @@ def _b_newton(n: int, u: complex) -> complex | None:
 def _b_proposal(n: int) -> tuple[list[float], list[complex]]:
     """Sign-change angles of g and complex-root guesses for h_B of degree n.
 
-    g is sampled at 32 (2n+1) points of (0, pi/2); samples where |g|
-    is below float noise are dropped (near pi/2 the two terms of g
-    cancel).  A sign change gives the midpoint theta of its two samples,
-    near a real root -tan^2 theta.  Each local minimum of |g| without a
-    sign change seeds complex Newton at a root of the parabola through
-    the three samples around it; every distinct non-real hit x, taken
-    with Im x > 0, is one guess for a complex-conjugate pair.
+    g = cos(k theta) + tail, k = 2n+1, is first read at the extrema j pi / k
+    of cos(k theta).  A half-period with |tail| < 1/4 at both ends holds
+    one sign change, near its middle, and its ends stand for it.  Every
+    other one is read at 64 points: near pi/2, where |tail| peaks near
+    0.6 sqrt(n) and the complex roots sit, and near theta = 1/sqrt(2n).
+    Samples where |g| is below float noise are dropped (near pi/2 the
+    two terms cancel).  A sign change gives the midpoint theta of its two
+    samples, near a real root -tan^2 theta.  Each local minimum of |g|
+    without a sign change seeds complex Newton at a root of the parabola
+    through the three samples around it; every distinct non-real hit x,
+    taken with Im x > 0, is one guess for a complex-conjugate pair.
     """
     k = 2 * n + 1
-    steps = 32 * k
-    h = math.pi / (2 * steps)
+    h = math.pi / (64 * k)
     noise = 2.0**-46 * k
     cos = math.cos
-    roots: list[float] = []
-    dips = []
-    # the last two samples kept, streamed so that no sample list is stored
-    t0 = g0 = t1 = g1 = None
-    for i in range(1, steps):
+
+    def sample(i: int) -> tuple[float, float, float]:
         t = i * h
         co = cos(t)
         cc = co * co
         tail = 2 * n * (1 - cc) * co * (2 * cc - 1) ** (n - 1)
-        g = cos(k * t) + tail
+        return t, cos(k * t) + tail, tail
+
+    quiet = [abs(sample(64 * j)[2]) < 0.25 for j in range(n + 1)] + [False]
+    # each half-period from its start: a quiet one alone, the others at 64 points
+    spans = (
+        range(64 * j, min(64 * j + 64, 32 * k)) if not quiet[j] or not quiet[j + 1] else (64 * j,)
+        for j in range(n + 1)
+    )
+    roots: list[float] = []
+    dips = []
+    # the last two samples kept, streamed so that no sample list is stored
+    t0 = g0 = t1 = g1 = None
+    for t, g, tail in map(sample, chain.from_iterable(spans)):
         if abs(g) <= noise * (1 + abs(tail)):
             continue
         if g1 is not None:
@@ -685,10 +700,12 @@ def _bisect_sign(
 def _pick_cells(
     c: list[int], a: int, b: int, q: int, wn: int, wd: int,
     above: Callable[[int, int, int], int], guesses: list[float],
+    memo: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> list[tuple[int, int, int]] | None:
     """The cells that bisecting (a, b) to width wn / wd ends in, read off root guesses.
 
-    above(n, e, s) counts roots of c above n / 2^e, s the sign there; a
+    above(n, e, s) counts roots of c above n / 2^e, s the sign there;
+    memo may hold (s, above) at a and b, keys (0, 0) and (0, 1).  A
     guess x is a root of c(y / q).  Depth t is the first whose grid
     cells are no wider than wn / wd.  Each guess takes its depth-t cell
     i (i -/+ 1 if i holds no root) and descends along x while its cell
@@ -702,7 +719,7 @@ def _pick_cells(
     while (b - a) * wd > wn << t:
         t += 1
     span = b - a
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    memo = {} if memo is None else memo
 
     def at(d: int, i: int) -> tuple[int, int]:
         """Sign of c and root count above grid point i of depth d."""
@@ -875,7 +892,7 @@ def _one_root_window(b: TrigBracket | Interval, c: list[int]) -> bool:
         ladder = _d_ladder(n)
     except BracketingError:
         return False
-    return 0 <= b.j < n and b.x_interval == Interval(ladder[b.j + 1], ladder[b.j])
+    return 0 <= b.j < n and (b.x_interval.lo, b.x_interval.hi) == (ladder[b.j + 1], ladder[b.j])
 
 
 def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) -> Interval:
@@ -892,7 +909,8 @@ def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) ->
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    c = list(primitive_integer_coeffs(p))
+    cf = _closed_form("D", p.degree) if isinstance(b, TrigBracket) and p.degree >= 3 else None
+    c = list(cf if p.coeffs == cf else primitive_integer_coeffs(p))
     q = math.lcm(iv.lo.denominator, iv.hi.denominator)
     scaled = _scaled(c, q)
     lo, hi = int(iv.lo * q), int(iv.hi * q)
@@ -904,6 +922,7 @@ def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) ->
     if _one_root_window(b, c):
         # one root: it lies above a point exactly when c there has the sign at lo
         guess = [_d_root(len(c) - 1, b.phi_lo, b.phi_hi)]
-        cells = _pick_cells(scaled, lo, hi, q, wn, wd, lambda m, e, s: s == s_lo, guess)
+        ends = {(0, 0): (s_lo, 1), (0, 1): (s_hi, 0)}
+        cells = _pick_cells(scaled, lo, hi, q, wn, wd, lambda m, e, s: s == s_lo, guess, ends)
     x, y, e = cells[0] if cells else _bisect_sign(scaled, lo, hi, 0, s_lo, wn, wd)
     return Interval(Fraction(x, q << e), Fraction(y, q << e))

@@ -83,7 +83,7 @@ class SequenceVerdict:
 
 
 def _as_fractions(seq: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in seq]
+    return [v if type(v) is Fraction else Fraction(v) for v in seq]
 
 
 def check_log_concave(seq: Sequence) -> SequenceVerdict:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from coordlat import cli
 from coordlat.cli import main
 
 
@@ -230,6 +231,25 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "roots", "--type", "A", "--n", "2", "--width=-1/2")[0] == 2
     assert run(capsys, "gen", "--type", "A", "--n", "2", "--bogus")[0] == 2
     assert run(capsys, "report", "--type", "G2")[0] == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # one parser serves every call of a process, and each call prints
+    # what it prints on a freshly built parser
+    calls = [
+        ("roots", "--type", "A", "--n", "2", "--width", "abc"),
+        ("roots", "--type", "D", "--n", "5"),
+        ("analyze", "--type", "B", "--n", "16", "--format", "json"),
+        ("report", "--type", "C", "--n", "6", "--format", "csv"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    parser = cli._parser()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli._parser() is parser
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0]
 
 
 def test_expensive_lattice_needs_flag(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordlat import exactpoly
-from coordlat.coordinator import LatticeType, coordinator
+from coordlat.coordinator import MIN_RANK, LatticeType, coordinator
 from coordlat.exactpoly import (
     ONE,
     X,
@@ -214,6 +214,28 @@ def test_leading_coefficient_divisible_by_the_prime_falls_back(monkeypatch):
     assert not exactpoly._squarefree_mod_prime(list(primitive_integer_coeffs(p)))
     assert squarefree_decomposition(p) == ((poly([-2, 1]), 1), (line, 2))
     assert len(calls) == 2
+
+
+def test_squarefree_but_not_modulo_the_prime_goes_through_yun(monkeypatch):
+    q = exactpoly._SQF_PRIME
+    calls = []
+    yun = exactpoly._yun
+    monkeypatch.setattr(exactpoly, "_yun", lambda c: calls.append(c) or yun(c))
+    # x^2 - q is x^2 modulo q, which shares the factor x with 2x
+    p = poly([-q, 0, 1])
+    assert not exactpoly._squarefree_mod_prime([-q, 0, 1])
+    assert squarefree_decomposition(p) == ((p, 1),)
+    # and with a square of it the undecided certificate still splits right
+    assert squarefree_decomposition(p * p * poly([1, 1])) == ((poly([1, 1]), 1), (p, 2))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("tag", "ABCD")
+def test_closed_forms_decompose_as_yun_does(tag):
+    for n in range(MIN_RANK[tag], 61):
+        h = coordinator(LatticeType(tag, n)).poly
+        c = list(primitive_integer_coeffs(h))
+        assert squarefree_decomposition(h) == exactpoly._yun(c), f"{tag}{n}"
 
 
 def test_rank_two_d_keeps_its_double_root():

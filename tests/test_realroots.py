@@ -1,4 +1,5 @@
 """Sturm counting, isolation, and the trigonometric bracket ladder."""
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -466,6 +467,101 @@ def test_two_discs_around_one_root_fall_back_to_sturm(monkeypatch):
     assert_sturm_fallback(20)
 
 
+def _reference_b_proposal(n):
+    """The dense sampler _b_proposal replaced: g at 32 (2n+1) points of (0, pi/2)."""
+    k = 2 * n + 1
+    steps = 32 * k
+    h = math.pi / (2 * steps)
+    noise = 2.0**-46 * k
+    roots, dips = [], []
+    t0 = g0 = t1 = g1 = None
+    for i in range(1, steps):
+        t = i * h
+        co = math.cos(t)
+        cc = co * co
+        tail = 2 * n * (1 - cc) * co * (2 * cc - 1) ** (n - 1)
+        g = math.cos(k * t) + tail
+        if abs(g) <= noise * (1 + abs(tail)):
+            continue
+        if g1 is not None:
+            if (g1 > 0) != (g > 0):
+                roots.append((t1 + t) / 2)
+            elif g0 is not None and (g0 > 0) == (g1 > 0) and abs(g0) > abs(g1) <= abs(g):
+                dips.append((t0, g0, t1, g1, t, g))
+        t0, g0, t1, g1 = t1, g1, t, g
+    guesses = []
+    for t0, g0, t1, g1, t2, g2 in dips:
+        a = ((g2 - g1) / (t2 - t1) - (g1 - g0) / (t1 - t0)) / (t2 - t0)
+        b = (g1 - g0) / (t1 - t0) + a * (t1 - t0)
+        u = realroots._b_newton(n, math.pi / 2 - t1 - (-b + cmath.sqrt(b * b - 4 * a * g1)) / (2 * a))
+        if u is None:
+            continue
+        try:
+            x = -(1 / cmath.tan(u)) ** 2
+        except (OverflowError, ZeroDivisionError):
+            continue
+        x = complex(x.real, abs(x.imag))
+        if not cmath.isfinite(x) or x.imag <= 1e-9 * abs(x):
+            continue
+        if all(abs(x - y) > 1e-6 * abs(x) for y in guesses):
+            guesses.append(x)
+    return roots, guesses
+
+
+B_RANKS = range(1, 81)
+
+
+@pytest.fixture(scope="module")
+def b_isolations():
+    """Per rank of B_RANKS: what _b_proposal, the type B certificate and
+    _pick_cells returned in isolate_real_roots at widths 1/1024 and 3.
+
+    B1 = A1 and B2 = C2 take their plain ladders, so only _pick_cells runs.
+    """
+    runs = {}
+
+    def spy(real, name):
+        def called(*args):
+            out = real(*args)
+            runs[n].setdefault(name, []).append(out)
+            return out
+
+        return called
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_b_proposal", "_pick_cells"):
+            mp.setattr(realroots, name, spy(getattr(realroots, name), name))
+        mp.setitem(realroots._CERTIFICATES, "B", spy(realroots._b_certificate, "certificate"))
+        for n in B_RANKS:
+            runs[n] = {}
+            for width in (Fraction(1, 1024), Fraction(3)):
+                isolate_real_roots(h_of("B", n), width)
+    return runs
+
+
+def test_extrema_first_proposal_keeps_every_b_certificate(b_isolations):
+    # sign-change, guess and disc counts as with dense sampling, and they close
+    for n in B_RANKS:
+        run, c = b_isolations[n], b_coeffs(n)
+        thetas, guesses = run.get("_b_proposal", [realroots._b_proposal(n)])[0]
+        discs = run.get("certificate", [realroots._b_certificate(c)])[0][1]
+        ref = _reference_b_proposal(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(realroots, "_b_proposal", lambda n: ref)
+            ref_discs = realroots._b_certificate(c)[1]
+        got = (len(thetas), len(guesses), len(discs))
+        assert got == (len(ref[0]), len(ref[1]), len(ref_discs)), f"B{n}"
+        assert len(thetas) + 2 * len(discs) == n, f"B{n}"
+
+
+def test_extrema_first_proposal_picks_every_cell(b_isolations):
+    # the dense sampler's guesses picked every cell of B1..B80 at both
+    # widths; the extrema-first ones must too, so no isolation bisects
+    for n in B_RANKS:
+        picks = b_isolations[n]["_pick_cells"]
+        assert len(picks) == 2 and None not in picks, f"B{n}"
+
+
 WIDTHS = [Fraction(1, 1024), Fraction(1, 3), Fraction(5, 7), Fraction(3)]
 
 
@@ -552,7 +648,7 @@ def wrong_guesses(monkeypatch, wrong, roots):
     """
     pick = realroots._pick_cells
 
-    def wrong_pick(c, a, b, q, wn, wd, above, guesses):
+    def wrong_pick(c, a, b, q, wn, wd, above, guesses, *memo):
         g = list(guesses)
         if wrong == "neighbour":
             g[0] = sorted(roots, key=lambda r: abs(r - g[0]))[1]
@@ -567,7 +663,7 @@ def wrong_guesses(monkeypatch, wrong, roots):
             g = [x + (b - a) / (q << t) for x in g]
         else:
             g = g + g[:1]
-        return pick(c, a, b, q, wn, wd, above, g)
+        return pick(c, a, b, q, wn, wd, above, g, *memo)
 
     monkeypatch.setattr(realroots, "_pick_cells", wrong_pick)
     bisected = []
@@ -630,6 +726,28 @@ def test_picking_signs_each_point_once(monkeypatch, width):
     if width < 1:
         # n + 1 ladder rungs, the two bounds, two ends per root
         assert len(points) == (n + 1) + 2 + 2 * n
+
+
+def test_refining_a_d_bracket_signs_each_point_once(monkeypatch):
+    # refine_bracket hands its signed ends to _pick_cells, and the
+    # closed form's coefficients are read without rescaling
+    n, width = 12, Fraction(1, 1024)
+    h = h_of("D", n)
+    want = [ref_refine(b.x_interval, h, width) for b in d_type_brackets(n)]
+    points = []
+    sign_at = realroots._sign_at
+
+    def spy(c, m, e=0):
+        points.append(Fraction(m, 1 << e))
+        return sign_at(c, m, e)
+
+    monkeypatch.setattr(realroots, "_sign_at", spy)
+    monkeypatch.setattr(realroots, "primitive_integer_coeffs", None)
+    for b, iv in zip(d_type_brackets(n), want):
+        points.clear()
+        assert refine_bracket(b, h, width) == iv
+        # the two ends and the two ends of the picked cell
+        assert len(points) == len(set(points)) == 4
 
 
 def is_grid_cell(iv, a, span):
