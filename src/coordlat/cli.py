@@ -70,8 +70,8 @@ def _rational(text: str) -> Fraction:
 
 
 def _numstr(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else str(f)
+    """Text of an int or a Fraction: integers print without a denominator."""
+    return str(x.numerator) if x.denominator == 1 else str(x)
 
 
 def _f12(x: float) -> str:

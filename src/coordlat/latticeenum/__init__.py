@@ -6,6 +6,10 @@ the generators has length exactly k; those counts recover the
 coordinator polynomial of the lattice, which cross-checks the closed
 forms and handles the exceptional lattices that have none here.
 
+Every built-in table is a root system: all the roots of A_n, B_n, C_n,
+D_n, G2, F4, E6, E7 or E8, closed by reflections from the type's simple
+roots.  F4 and the E series are doubled to keep them integral.
+
 One breadth-first kernel does the counting.  It keys each point by a
 single Python int, so a generator step is one integer addition, and it
 keeps one key per pair x, -x of the last two levels of the walk only.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from operator import neg
 from pathlib import Path
 from typing import Optional
 
@@ -97,7 +101,7 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         # canonical sorted order, so specs built from the same vector set
         # compare equal regardless of construction order
-        gens = tuple(sorted(tuple(int(c) for c in g) for g in self.generators))
+        gens = tuple(sorted(tuple(map(int, g)) for g in self.generators))
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ValueError("generator set is empty")
@@ -109,7 +113,7 @@ class LatticeSpec:
             raise ValueError("duplicate generators")
         gset = set(gens)
         for g in gens:
-            if tuple(-c for c in g) not in gset:
+            if tuple(map(neg, g)) not in gset:
                 raise ValueError(f"generator set not symmetric: missing -{g}")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
@@ -157,138 +161,82 @@ class OracleReport:
     detail: str = ""
 
 
-def _gens_a(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    dim = n + 1
-    gens = []
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                v = [0] * dim
-                v[i] = 1
-                v[j] = -1
-                gens.append(tuple(v))
-    return tuple(gens), dim
+def _steps(dim: int, first: int, last: int, c: int = 1) -> list[tuple[int, ...]]:
+    """c(e_i - e_{i+1}) for first <= i < last, counting coordinates from 0."""
+    return [(0,) * i + (c, -c) + (0,) * (dim - i - 2) for i in range(first, last)]
 
 
-def _pm_pairs(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i, j in combinations(range(n), 2):
-        for si, sj in product((1, -1), repeat=2):
-            v = [0] * n
-            v[i] = si
-            v[j] = sj
-            out.append(tuple(v))
-    return out
+# twice (1, -1, ..., -1, 1) / 2: the simple root of E8 with half-integer entries
+_H = (1, -1, -1, -1, -1, -1, -1, 1)
+
+# simple roots per type, by rank, in the ambient coordinates of the
+# tables; A_n takes n + 1 coordinates and E6, E7 sit inside E8's eight
+_SIMPLE_ROOTS = {
+    "A": lambda n: _steps(n + 1, 0, n),
+    "B": lambda n: _steps(n, 0, n - 1) + [(0,) * (n - 1) + (1,)],
+    "C": lambda n: _steps(n, 0, n - 1) + [(0,) * (n - 1) + (2,)],
+    "D": lambda n: _steps(n, 0, n - 1) + [(0,) * (n - 2) + (1, 1)],
+    "G2": lambda n: [(1, -1, 0), (-1, 2, -1)],
+    "F4": lambda n: [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)],
+    "E6": lambda n: [(1, -1, -1, -1, 1, 1, 1, -1), _H] + _steps(8, 1, 3, 2)
+        + [(0, 0, 0, 2, 2, 0, 0, 0), (0, 0, 0, 2, -2, 0, 0, 0)],
+    "E7": lambda n: [_H] + _steps(8, 1, 4, 2)
+        + [(0, 0, 0, 0, 2, 2, 0, 0), (0, 0, 0, 0, 2, -2, 0, 0), (0, 0, 0, 0, 0, 0, 2, -2)],
+    "E8": lambda n: [_H] + _steps(8, 1, 7, 2) + [(0, 0, 0, 0, 0, 0, 2, 2)],
+}
+# F4 and the E series are doubled so the half-integer vectors are
+# integral; word lengths do not see the global scale
+_SCALE = {"F4": 2, "E6": 2, "E7": 2, "E8": 2}
 
 
-def _axis(n: int, i: int, c: int) -> tuple[int, ...]:
-    v = [0] * n
-    v[i] = c
-    return tuple(v)
+def _root_system(simple: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Every root, of both signs, of the system with these simple roots.
 
-
-def _gens_b(n: int) -> tuple[tuple[int, ...], ...]:
-    gens = _pm_pairs(n) if n >= 2 else []
-    gens += [_axis(n, i, s) for i in range(n) for s in (1, -1)]
-    return tuple(gens)
-
-
-def _gens_c(n: int) -> tuple[tuple[int, ...], ...]:
-    gens = _pm_pairs(n) if n >= 2 else []
-    gens += [_axis(n, i, s) for i in range(n) for s in (2, -2)]
-    return tuple(gens)
-
-
-def _gens_g2() -> tuple[tuple[int, ...], ...]:
-    gens = []
-    for i, j in combinations(range(3), 2):
-        v = [0] * 3
-        v[i], v[j] = 1, -1
-        gens.append(tuple(v))
-        gens.append(tuple(-c for c in v))
-    for i in range(3):
-        j, k = [t for t in range(3) if t != i]
-        v = [0] * 3
-        v[i], v[j], v[k] = 2, -1, -1
-        gens.append(tuple(v))
-        gens.append(tuple(-c for c in v))
-    return tuple(gens)
-
-
-def _gens_f4() -> tuple[tuple[int, ...], ...]:
-    # doubled so the half-integer vectors are integral; word lengths do
-    # not see the global scale
-    gens = [_axis(4, i, s) for i in range(4) for s in (2, -2)]
-    gens += [tuple(2 * c for c in v) for v in _pm_pairs(4)]
-    gens += [tuple(eps) for eps in product((1, -1), repeat=4)]
-    return tuple(gens)
-
-
-def _gens_e8() -> tuple[tuple[int, ...], ...]:
-    gens = [tuple(2 * c for c in v) for v in _pm_pairs(8)]
-    for eps in product((1, -1), repeat=8):
-        if sum(1 for e in eps if e < 0) % 2 == 0:
-            gens.append(eps)
-    return tuple(gens)
-
-
-def _gens_e7() -> tuple[tuple[int, ...], ...]:
-    gens = []
-    for v in _pm_pairs(6):
-        gens.append(tuple(2 * c for c in v) + (0, 0))
-    gens.append((0, 0, 0, 0, 0, 0, 2, -2))
-    gens.append((0, 0, 0, 0, 0, 0, -2, 2))
-    for eps in product((1, -1), repeat=6):
-        if sum(1 for e in eps if e < 0) % 2 == 1:
-            gens.append(eps + (1, -1))
-            gens.append(tuple(-e for e in eps) + (-1, 1))
-    return tuple(gens)
-
-
-def _gens_e6() -> tuple[tuple[int, ...], ...]:
-    gens = []
-    for v in _pm_pairs(5):
-        gens.append(tuple(2 * c for c in v) + (0, 0, 0))
-    for eps in product((1, -1), repeat=5):
-        if sum(1 for e in eps if e < 0) % 2 == 0:
-            gens.append(eps + (-1, -1, 1))
-            gens.append(tuple(-e for e in eps) + (1, 1, -1))
-    return tuple(gens)
+    Each positive root that is not simple is s_i(v) = v - <v, a_i^v> a_i
+    for a lower positive root v with <v, a_i^v> < 0, so raising by those
+    reflections reaches them all.  Only a simple root that meets a
+    nonzero coordinate of v can have <v, a_i^v> != 0.
+    """
+    sparse = [[(k, c) for k, c in enumerate(a) if c] for a in simple]
+    norms = [sum(c * c for _, c in s) for s in sparse]
+    touching = [[i for i, a in enumerate(simple) if a[k]] for k in range(len(simple[0]))]
+    positive = set(simple)
+    todo = list(simple)
+    while todo:
+        v = todo.pop()
+        for i in {i for k, x in enumerate(v) if x for i in touching[k]}:
+            m = 0
+            for k, c in sparse[i]:
+                m += v[k] * c
+            if m < 0:
+                m = 2 * m // norms[i]  # <v, a_i^v>, an integer for roots
+                w = list(v)
+                for k, c in sparse[i]:
+                    w[k] -= m * c
+                w = tuple(w)
+                if w not in positive:
+                    positive.add(w)
+                    todo.append(w)
+    return (*positive, *(tuple(map(neg, v)) for v in positive))
 
 
 def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSpec:
-    """Generator table for the given lattice type.
+    """Generator table for the given lattice type: all of its roots.
 
     The E-series tables have 72 to 240 generators in eight dimensions
     and enumeration over them grows quickly, so they sit behind
     allow_expensive.
     """
-    tag, n = ltype.tag, ltype.rank
+    tag = ltype.tag
     if tag in ("E6", "E7", "E8") and not allow_expensive:
         raise ExpensiveLatticeError(
             f"{tag} enumeration is expensive; pass allow_expensive=True "
             "(--allow-expensive on the command line)"
         )
-    if tag == "A":
-        gens, dim = _gens_a(n)
-        return LatticeSpec(dim, n, gens, 1, str(ltype))
-    if tag == "B":
-        return LatticeSpec(n, n, _gens_b(n), 1, str(ltype))
-    if tag == "C":
-        return LatticeSpec(n, n, _gens_c(n), 1, str(ltype))
-    if tag == "D":
-        return LatticeSpec(n, n, tuple(_pm_pairs(n)), 1, str(ltype))
-    if tag == "G2":
-        return LatticeSpec(3, 2, _gens_g2(), 1, "G2")
-    if tag == "F4":
-        return LatticeSpec(4, 4, _gens_f4(), 2, "F4")
-    if tag == "E6":
-        return LatticeSpec(8, 6, _gens_e6(), 2, "E6")
-    if tag == "E7":
-        return LatticeSpec(8, 7, _gens_e7(), 2, "E7")
-    if tag == "E8":
-        return LatticeSpec(8, 8, _gens_e8(), 2, "E8")
-    raise ValueError(f"no generator table for type {tag}")
+    simple = _SIMPLE_ROOTS[tag](ltype.rank)
+    return LatticeSpec(
+        len(simple[0]), len(simple), _root_system(simple), _SCALE.get(tag, 1), str(ltype)
+    )
 
 
 def enumerate_lengths(
@@ -412,25 +360,26 @@ def oracle_verify(
 
 
 def format_generator_table(spec: LatticeSpec) -> str:
-    lines = [f"dim={spec.ambient_dim} rank={spec.rank} scale={spec.scale}"]
-    for g in sorted(spec.generators):
-        lines.append(" ".join(str(c) for c in g))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(str, g)) for g in spec.generators)
+    return "\n".join([f"dim={spec.ambient_dim} rank={spec.rank} scale={spec.scale}", *rows]) + "\n"
 
 
 def parse_generator_table(text: str) -> LatticeSpec:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty generator table")
-    header = dict(item.split("=", 1) for item in lines[0].split())
     try:
-        dim = int(header["dim"])
-        rank = int(header["rank"])
-        scale = int(header["scale"])
+        header = dict(item.split("=", 1) for item in lines[0].split())
+        dim, rank, scale = (int(header[key]) for key in ("dim", "rank", "scale"))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad generator table header: {lines[0]!r}") from exc
-    gens = tuple(tuple(int(c) for c in ln.split()) for ln in lines[1:])
-    return LatticeSpec(dim, rank, gens, scale)
+    gens = []
+    for k, ln in enumerate(lines[1:], 1):
+        try:
+            gens.append(tuple(map(int, ln.split())))
+        except ValueError as exc:
+            raise ValueError(f"row {k}: entries must be integers: {ln!r}") from exc
+    return LatticeSpec(dim, rank, tuple(gens), scale)
 
 
 def save_generator_table(spec: LatticeSpec, path) -> None:

@@ -86,8 +86,11 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # callers mostly pass Fractions already; convert only the others
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo >= self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -445,11 +448,6 @@ def _shift_bounds(c: list[int], u: int, v: int, s: int) -> tuple[int, list[int]]
 def _pellet(lo1: int, hi: list[int], e: int) -> bool:
     """Pellet's test for one root in |t| < 2^e: |A_1| R > |A_0| + sum_{j>=2} |A_j| R^j."""
     return lo1 << e > hi[0] + sum(hi[j] << (j * e) for j in range(2, len(hi)))
-
-
-def _disc_holds(c: list[int], d: _Disc) -> bool:
-    """d misses the real axis and, by Rouche, holds exactly one root of c."""
-    return 1 << d.e < d.v and _pellet(*_shift_bounds(c, d.u, d.v, d.s), d.e)
 
 
 def _disjoint(discs: list[_Disc]) -> bool:

@@ -1,5 +1,6 @@
 """Generator tables, BFS census, and coordinator recovery."""
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,85 @@ def test_generator_counts_per_family():
     assert len(lattice_spec(lt("E6"), allow_expensive=True).generators) == 72
     assert len(lattice_spec(lt("E7"), allow_expensive=True).generators) == 126
     assert len(lattice_spec(lt("E8"), allow_expensive=True).generators) == 240
+
+
+def _reference_tables(t):
+    """LatticeSpec for t from the hand-written generator builders.
+
+    These are the tables the package shipped before it closed them from
+    simple roots; every field, label included, must stay the same.
+    """
+
+    def pm_pairs(n):
+        out = []
+        for i, j in combinations(range(n), 2):
+            for si, sj in product((1, -1), repeat=2):
+                v = [0] * n
+                v[i], v[j] = si, sj
+                out.append(tuple(v))
+        return out
+
+    def axis(n, i, c):
+        return tuple(c if k == i else 0 for k in range(n))
+
+    def doubled(vs, pad=()):
+        return [tuple(2 * c for c in v) + pad for v in vs]
+
+    def negatives(vs):
+        return vs + [tuple(-c for c in v) for v in vs]
+
+    def odd(eps):
+        return sum(1 for e in eps if e < 0) % 2
+
+    tag, n = t.tag, t.rank
+    if tag == "A":
+        gens = [tuple(1 if k == i else -1 if k == j else 0 for k in range(n + 1))
+                for i in range(n + 1) for j in range(n + 1) if i != j]
+        return LatticeSpec(n + 1, n, tuple(gens), 1, str(t))
+    if tag in "BCD":
+        c = {"B": 1, "C": 2, "D": 0}[tag]
+        gens = pm_pairs(n) + [axis(n, i, s * c) for i in range(n) for s in (1, -1) if c]
+        return LatticeSpec(n, n, tuple(gens), 1, str(t))
+    if tag == "G2":
+        gens = negatives([(1, -1, 0), (1, 0, -1), (0, 1, -1)])
+        gens += negatives([(2, -1, -1), (-1, 2, -1), (-1, -1, 2)])
+        return LatticeSpec(3, 2, tuple(gens), 1, "G2")
+    if tag == "F4":
+        gens = [axis(4, i, s) for i in range(4) for s in (2, -2)] + doubled(pm_pairs(4))
+        gens += list(product((1, -1), repeat=4))
+        return LatticeSpec(4, 4, tuple(gens), 2, "F4")
+    if tag == "E8":
+        gens = doubled(pm_pairs(8)) + [e for e in product((1, -1), repeat=8) if not odd(e)]
+        return LatticeSpec(8, 8, tuple(gens), 2, "E8")
+    if tag == "E7":
+        gens = doubled(pm_pairs(6), (0, 0)) + negatives([(0, 0, 0, 0, 0, 0, 2, -2)])
+        gens += negatives([e + (1, -1) for e in product((1, -1), repeat=6) if odd(e)])
+        return LatticeSpec(8, 7, tuple(gens), 2, "E7")
+    assert tag == "E6"
+    gens = doubled(pm_pairs(5), (0, 0, 0))
+    gens += negatives([e + (-1, -1, 1) for e in product((1, -1), repeat=5) if not odd(e)])
+    return LatticeSpec(8, 6, tuple(gens), 2, "E6")
+
+
+ALL_TYPES = [lt(t, n) for t in "ABC" for n in range(1, 13)] + [lt("D", n) for n in range(2, 13)]
+ALL_TYPES += [lt(t) for t in ("G2", "F4", "E6", "E7", "E8")]
+
+
+def _fields(spec):
+    return spec.ambient_dim, spec.rank, spec.generators, spec.scale, spec.label
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_closed_tables_equal_the_hand_written_ones(t):
+    assert _fields(lattice_spec(t, allow_expensive=True)) == _fields(_reference_tables(t))
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_root_counts(t):
+    n = t.rank
+    want = {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n, "D": 2 * n * (n - 1),
+            "G2": 12, "F4": 48, "E6": 72, "E7": 126, "E8": 240}[t.tag]
+    assert len(lattice_spec(t, allow_expensive=True).generators) == want
 
 
 def test_declared_ranks_match_span():
@@ -354,6 +434,16 @@ def test_generator_table_rejects_garbage():
         parse_generator_table("")
     with pytest.raises(ValueError):
         parse_generator_table("dim=x rank=1 scale=1\n1\n-1\n")
+
+
+def test_generator_table_header_item_without_value_is_named():
+    with pytest.raises(ValueError, match="bad generator table header: 'dim=2 rank=1 scale'"):
+        parse_generator_table("dim=2 rank=1 scale\n1 0\n-1 0\n")
+
+
+def test_generator_table_non_integer_entry_names_its_row():
+    with pytest.raises(ValueError, match="row 2: .*'-1 a'"):
+        parse_generator_table("dim=2 rank=1 scale=1\n1 0\n-1 a\n")
 
 
 @given(st.integers(1, 3), st.integers(0, 5))

@@ -373,6 +373,11 @@ def test_non_closed_forms_take_sturm():
     assert (rep.distinct_real, rep.is_real_rooted) == (5, True)
 
 
+def disc_holds(c, d):
+    """d misses the real axis and, by Rouche, holds exactly one root of c."""
+    return 1 << d.e < d.v and realroots._pellet(*realroots._shift_bounds(c, d.u, d.v, d.s), d.e)
+
+
 @pytest.mark.parametrize("n, real", [(16, 14), (20, 18)])
 def test_type_b_certifies_with_one_disc(n, real):
     c = b_coeffs(n)
@@ -380,7 +385,7 @@ def test_type_b_certifies_with_one_disc(n, real):
     assert ladder is not None and len(ladder) - 1 == real
     separators, discs, _ = realroots._b_certificate(c)
     assert len(separators) + 1 == real and len(discs) == 1
-    assert all(realroots._disc_holds(c, d) for d in discs)
+    assert all(disc_holds(c, d) for d in discs)
 
 
 def moved(d, du=0, dv=0, e=None):
@@ -390,25 +395,25 @@ def moved(d, du=0, dv=0, e=None):
 def test_pellet_rejects_a_moved_center():
     c = b_coeffs(16)
     (d,) = realroots._b_certificate(c)[1]
-    assert realroots._disc_holds(c, d)
+    assert disc_holds(c, d)
     r = 1 << d.e
     for du, dv in ((5 * r, 0), (-5 * r, 0), (0, 5 * r), (3 * r, -3 * r)):
-        assert not realroots._disc_holds(c, moved(d, du, dv))
+        assert not disc_holds(c, moved(d, du, dv))
 
 
 def test_disc_must_miss_the_real_axis():
     # x^2 + 4 at 2i: P(2i + t) = 4i t + t^2, so Pellet holds for radius < 4
     c = [4, 0, 1]
-    assert realroots._disc_holds(c, realroots._Disc(0, 2, 0, 0))
+    assert disc_holds(c, realroots._Disc(0, 2, 0, 0))
     touching = realroots._Disc(0, 2, 0, 1)
     assert realroots._pellet(*realroots._shift_bounds(c, 0, 2, 0), touching.e)
-    assert not realroots._disc_holds(c, touching)
+    assert not disc_holds(c, touching)
     # x^2 + 3 at 3i/2: 4 p(y/2) at 3i + t is 3 + 6i t + t^2; radius 2 > 3/2
     c = [3, 0, 1]
-    assert realroots._disc_holds(c, realroots._Disc(0, 3, 1, 1))
+    assert disc_holds(c, realroots._Disc(0, 3, 1, 1))
     crossing = realroots._Disc(0, 3, 1, 2)
     assert realroots._pellet(*realroots._shift_bounds(c, 0, 3, 1), crossing.e)
-    assert not realroots._disc_holds(c, crossing)
+    assert not disc_holds(c, crossing)
 
 
 def test_pellet_rounds_toward_rejection():
@@ -423,7 +428,7 @@ def test_overlapping_discs_are_rejected():
     # (x^2 + 1)(x^2 + 2x + 2): roots i and -1 + i, one apart
     c = [2, 2, 3, 2, 1]
     i, j = realroots._Disc(0, 4, 2, 0), realroots._Disc(-4, 4, 2, 0)
-    assert realroots._disc_holds(c, i) and realroots._disc_holds(c, j)
+    assert disc_holds(c, i) and disc_holds(c, j)
     assert realroots._disjoint([i, j])
     # radius 1/2 each: tangent; radius 1 and 1/4: overlapping
     assert not realroots._disjoint([moved(i, e=1), moved(j, e=1)])
@@ -460,7 +465,7 @@ def test_two_discs_around_one_root_fall_back_to_sturm(monkeypatch):
     thetas, (x,) = realroots._b_proposal(20)
     twin = x + 1e-3
     discs = [realroots._root_disc(c, y, 1e-3) for y in (x, twin)]
-    assert all(d is not None and realroots._disc_holds(c, d) for d in discs)
+    assert all(d is not None and disc_holds(c, d) for d in discs)
     assert not realroots._disjoint(discs)
     monkeypatch.setattr(realroots, "_b_proposal", lambda n: (thetas, [x, twin]))
     assert realroots._b_certificate(c)[1] == []
