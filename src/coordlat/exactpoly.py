@@ -227,16 +227,28 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return [-x for x in r] if negate else r
 
 
+def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, then each negated pseudo-remainder made primitive.
+
+    Stops at a constant or at a zero remainder, so the last entry is the
+    gcd up to a constant; with b = a' it is the Sturm chain of a.
+    """
+    chain = [list(a), list(b)]
+    while len(chain[-1]) > 1:
+        r = _int_prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_int_primitive([-x for x in r]))
+    return chain
+
+
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of integer polynomials, positive leading coefficient."""
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
-    while b:
-        r = _int_prem(a, b)
-        a, b = b, _int_primitive(r)
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return a
+    if not b:  # the chain of (a, 0) would end at 0
+        g = _int_primitive(list(a))
+    else:
+        g = _int_prs(_int_primitive(a), _int_primitive(b))[-1]
+    return [-x for x in g] if g and g[-1] < 0 else g
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:

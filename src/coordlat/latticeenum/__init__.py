@@ -379,6 +379,8 @@ def parse_generator_table(text: str) -> LatticeSpec:
             gens.append(tuple(map(int, ln.split())))
         except ValueError as exc:
             raise ValueError(f"row {k}: entries must be integers: {ln!r}") from exc
+        if len(gens[-1]) != dim:
+            raise ValueError(f"row {k}: expected {dim} entries, got {len(gens[-1])}: {ln!r}")
     return LatticeSpec(dim, rank, tuple(gens), scale)
 
 

@@ -54,8 +54,7 @@ from .coordinator import _CLOSED_FORMS, MIN_RANK
 from .exactpoly import (
     Polynomial,
     _int_derivative,
-    _int_prem,
-    _int_primitive,
+    _int_prs,
     poly,
     primitive_integer_coeffs,
     squarefree_decomposition,
@@ -169,17 +168,6 @@ _Guesses = Callable[[], list[float]]
 # ---------------------------------------------------------------------------
 
 
-def _signed_chain(c: list[int]) -> list[list[int]]:
-    """Primitive signed remainder chain for squarefree integer coefficients c."""
-    chain = [list(c), _int_derivative(list(c))]
-    while len(chain[-1]) > 1:
-        r = _int_prem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_int_primitive([-x for x in r]))
-    return chain
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -237,7 +225,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     if p.is_zero or p.degree < 1:
         raise ValueError("sturm_chain needs degree >= 1")
     sf = _squarefree_int(p)
-    return SturmChain(tuple(poly(c) for c in _signed_chain(sf)))
+    return SturmChain(tuple(poly(c) for c in _int_prs(sf, _int_derivative(sf))))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +593,9 @@ class _LadderCounter:
 
 def _root_counter(c: list[int], rungs: list[Fraction] | None) -> _SturmCounter | _LadderCounter:
     """Ladder counter when rungs certify c, else Sturm; c squarefree, positive leading."""
-    return _SturmCounter(_signed_chain(c)) if rungs is None else _LadderCounter(rungs)
+    if rungs is not None:
+        return _LadderCounter(rungs)
+    return _SturmCounter(_int_prs(c, _int_derivative(c)))
 
 
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:

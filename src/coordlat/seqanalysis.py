@@ -6,7 +6,8 @@ decided in exact rational/integer arithmetic; a failed check always
 carries a witness that can be re-verified by direct computation.  A
 passing positivity test up to order k is certified by the C(n + k, k)
 order-k minors on the first k columns, which are Schur functions of the
-sequence and decide every smaller order too (see `pf_minor_check`).
+sequence and decide every smaller order too (see `pf_minor_check`); a
+failure reports the first negative one at the lowest failing order.
 When the caller has proven that the polynomial sum a_k x^k has only
 real roots, the pass follows from that proof and no minor is evaluated:
 by Aissen-Schoenberg-Whitney a nonnegative sequence whose polynomial is
@@ -156,8 +157,7 @@ def _pf2_by_log_concavity(a: list[int]) -> bool:
 
     For a nonnegative sequence this is equivalent to every order-2
     Toeplitz minor being nonnegative (Brenti, Mem. AMS 413, 1989), so
-    True settles the order-2 pass in O(n); False sends it to the scan,
-    which then finds the first negative minor.
+    True settles the order-2 pass in O(n).
     """
     support = [i for i, v in enumerate(a) if v]
     if support and 0 in a[support[0] : support[-1]]:
@@ -165,14 +165,19 @@ def _pf2_by_log_concavity(a: list[int]) -> bool:
     return all(a[k] * a[k] >= a[k - 1] * a[k + 1] for k in range(1, len(a) - 1))
 
 
-def _column_solid_nonnegative(a: list[int], k: int) -> bool:
-    """True when every k x k minor det[a_{r_i - j}], j = 0..k-1, is >= 0.
+def _first_negative_minor(
+    a: list[int], k: int
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """First negative k x k minor det[a_{r_i - j}], j = 0..k-1, as (rows, det).
 
-    Leading zeros are stripped first, so a_0 > 0; rows run over
-    range(len(a) + k - 1), since every later row is zero.  Each minor is
-    expanded along its last row: the k cofactors are computed once per
-    choice of the first k - 1 rows, and each last row then costs k
-    multiplications.  Order 3 is unrolled by hand.
+    None when every such minor is >= 0.  Leading zeros are stripped
+    first, so a_0 > 0, and added back to the rows; rows run in
+    lexicographic order over range(len(a) + k - 1), since every later
+    row is zero.  Each minor is expanded along its last row: the k
+    cofactors are computed once per choice of the first k - 1 rows, and
+    each last row then costs k multiplications.  Order 3 is unrolled by
+    hand.  A hit's last row is found again by value: an equal earlier
+    row would have given the same minor first.
     """
     lead = next((i for i, v in enumerate(a) if v), len(a))
     padded = [0] * (k - 1) + a[lead:] + [0] * (k - 1)
@@ -186,9 +191,10 @@ def _column_solid_nonnegative(a: list[int], k: int) -> bool:
                 c1 = u2 * v0 - u0 * v2
                 c2 = u0 * v1 - u1 * v0
                 for x0, x1, x2 in rows[j + 1 :]:
-                    if c0 * x0 + c1 * x1 + c2 * x2 < 0:
-                        return False
-        return True
+                    if (det := c0 * x0 + c1 * x1 + c2 * x2) < 0:
+                        last = rows.index([x0, x1, x2], j + 1)
+                        return (i + lead, j + lead, last + lead), det
+        return None
     for head in combinations(range(len(rows)), k - 1):
         sub = [rows[r] for r in head]
         cof = [
@@ -197,9 +203,10 @@ def _column_solid_nonnegative(a: list[int], k: int) -> bool:
         ]
         if any(cof):
             for x in rows[head[-1] + 1 :]:
-                if sum(map(operator.mul, cof, x)) < 0:
-                    return False
-    return True
+                if (det := sum(map(operator.mul, cof, x))) < 0:
+                    last = rows.index(x, head[-1] + 1)
+                    return tuple(r + lead for r in (*head, last)), det
+    return None
 
 
 def pf_minor_check(
@@ -248,13 +255,15 @@ def pf_minor_check(
     log-concave with no internal zeros is PF2 (Brenti, Mem. AMS 413,
     1989).
 
-    A failure is reported by a canonical scan.  Row and column indices
-    run over 0..n+max_order-1 so every minor shape of the given orders
-    appears; a shift of both index sets leaves a minor unchanged, so only
-    representatives with a zero minimum index are evaluated.  The
-    reported witness is the lexicographically first negative minor
-    ordered by (order, rows, cols): any negative minor shifts down to an
-    equal canonical one that precedes it.
+    A failure's witness is the first negative minor in (order, rows,
+    cols) lexicographic order, rows and columns in range(n + max_order).
+    By the expansion above, a negative order-s minor on rows R is a sum,
+    with nonnegative coefficients, of order-s minors on columns 0..s-1
+    and rows R' <= R componentwise, so one of those is negative too; and
+    0..s-1 is the smallest column set.  So the witness lies on columns
+    0..s-1 at the lowest failing order s, and it is the first negative
+    minor that order's scan meets: order 2 when log-concavity fails,
+    else the lowest order from 3 to k whose scan fails.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -277,80 +286,17 @@ def pf_minor_check(
         lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
     a = [int(v * lcm) for v in vals]
 
-    def fail(rows, cols, det):
-        return SequenceVerdict(
-            passed.property,
-            False,
-            MinorWitness(rows, cols, Fraction(det, lcm ** len(rows))),
-            clamped,
-        )
-
-    if _pf2_by_log_concavity(a) and (
-        max_order == 2 or _column_solid_nonnegative(a, max_order)
-    ):
+    if not _pf2_by_log_concavity(a):
+        order, hit = 2, _first_negative_minor(a, 2)
+    elif max_order == 2 or (hit := _first_negative_minor(a, max_order)) is None:
         return passed
-
-    # A minor is negative; the canonical scan finds the first one.
-    P = n + max_order
-
-    # pad with zeros on both sides so a[i-j] becomes one list lookup
-    padded = [0] * P + a + [0] * P
-    entry = lambda d, _get=padded.__getitem__, _off=P: _get(d + _off)
-
-    # Minors whose main diagonal leaves the band r - c in [0, n] contain
-    # a zero block large enough to vanish, so only index sets with
-    # c_i <= r_i <= c_i + n can contribute; for those, c_1 <= r_1
-    # combined with the min(r_1, c_1) = 0 canonical form forces c_1 = 0.
-    # The loops below generate exactly the admissible canonical sets in
-    # (rows, cols) lexicographic order.  Order-1 minors are the entries
-    # themselves, already known nonnegative; the order-2 scan runs only
-    # when the log-concavity test cannot rule out a negative minor.
-    if max_order >= 2 and not _pf2_by_log_concavity(a):
-        for r1 in range(min(n, P - 2) + 1):
-            A1 = entry(r1)
-            for r2 in range(r1 + 1, P):
-                A2 = entry(r2)
-                for c2 in range(max(1, r2 - n), min(r2, P - 1) + 1):
-                    det = A1 * entry(r2 - c2) - entry(r1 - c2) * A2
-                    if det < 0:
-                        return fail((r1, r2), (0, c2), det)
-    if max_order >= 3:
-        for r1 in range(min(n, P - 3) + 1):
-            A1 = entry(r1)
-            for r2 in range(r1 + 1, P - 1):
-                A2 = entry(r2)
-                for r3 in range(r2 + 1, P):
-                    A3 = entry(r3)
-                    for c2 in range(max(1, r2 - n), min(r2, P - 2) + 1):
-                        B1 = entry(r1 - c2)
-                        B2 = entry(r2 - c2)
-                        B3 = entry(r3 - c2)
-                        # cofactors along the third column
-                        k1 = A2 * B3 - A3 * B2
-                        k2 = A3 * B1 - A1 * B3
-                        k3 = A1 * B2 - A2 * B1
-                        if not (k1 or k2 or k3):
-                            continue
-                        for c3 in range(max(c2 + 1, r3 - n), min(r3, P - 1) + 1):
-                            det = (
-                                k1 * entry(r1 - c3)
-                                + k2 * entry(r2 - c3)
-                                + k3 * entry(r3 - c3)
-                            )
-                            if det < 0:
-                                return fail((r1, r2, r3), (0, c2, c3), det)
-    for order in range(4, max_order + 1):
-        # orders beyond three are off the hot path; scan canonical sets
-        # with an explicit band filter and a fraction-free determinant
-        for R in combinations(range(P), order):
-            if R[0] > n:
-                continue
-            col_rest = combinations(range(1, P), order - 1)
-            for rest in col_rest:
-                C = (0,) + rest
-                if any(r < c or r > c + n for r, c in zip(R, C)):
-                    continue
-                det = _bareiss_det([[entry(r - c) for c in C] for r in R])
-                if det < 0:
-                    return fail(R, C, det)
-    raise AssertionError("a negative minor escaped the canonical scan")
+    else:
+        # the order-k minors fail; report the lowest order that fails
+        order = max_order
+        for s in range(3, max_order):
+            if lower := _first_negative_minor(a, s):
+                order, hit = s, lower
+                break
+    rows, det = hit
+    witness = MinorWitness(rows, tuple(range(order)), Fraction(det, lcm**order))
+    return SequenceVerdict(passed.property, False, witness, clamped)

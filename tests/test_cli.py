@@ -110,7 +110,7 @@ def test_complex_roots_get_the_minor_scan(capsys, minor_calls, n):
 
     got = analyze_json(capsys, "--type", "B", "--n", str(n))
     assert not got["real_rooted"]
-    assert "_column_solid_nonnegative" in minor_calls
+    assert "_first_negative_minor" in minor_calls
     want = pf_minor_check(coordinator(LatticeType("B", n)).poly.coeffs, 3)
     assert got["pf"] == {"order": 3, "holds": want.holds, "clamped": want.clamped}
 

@@ -446,6 +446,11 @@ def test_generator_table_non_integer_entry_names_its_row():
         parse_generator_table("dim=2 rank=1 scale=1\n1 0\n-1 a\n")
 
 
+def test_generator_table_row_of_wrong_length_names_its_row():
+    with pytest.raises(ValueError, match="row 2: expected 2 entries, got 3: '-1 0 0'"):
+        parse_generator_table("dim=2 rank=1 scale=1\n1 0\n-1 0 0\n")
+
+
 @given(st.integers(1, 3), st.integers(0, 5))
 @settings(max_examples=20, deadline=None)
 def test_census_levels_are_even_after_origin(n, K):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordlat import cli, realroots
+from coordlat import cli, exactpoly, realroots
 from coordlat.coordinator import LatticeType, coordinator
 from coordlat.exactpoly import (
     eval_at,
@@ -782,7 +782,8 @@ def test_exact_guesses_pick_the_bisection_cells(factors, width):
         p = p * poly([-b, 2**a])
     c = list(primitive_integer_coeffs(p))
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
-    counter = realroots._SturmCounter(realroots._signed_chain(c))
+    chain = exactpoly._int_prs(c, exactpoly._int_derivative(c))
+    counter = realroots._SturmCounter(chain)
     guesses = [float(dyadic(f)) for f in factors]
     wn, wd = width.numerator, width.denominator
     cells = realroots._pick_cells(c, -bound, bound, 1, wn, wd, counter.above, guesses)

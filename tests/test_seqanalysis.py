@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coordlat.coordinator import LatticeType, coordinator
 from coordlat.exactpoly import Polynomial
 from coordlat.realroots import is_real_rooted
 from coordlat.seqanalysis import (
@@ -307,6 +308,44 @@ def test_pinned_witnesses():
     assert v.witness == MinorWitness((1, 2, 30), (0, 1, 2), Fraction(-1))
 
 
+def test_witness_at_the_lowest_failing_order():
+    # each fails below the requested order, with the witness found there
+    for seq, order, rows, det in [
+        ([1] * 8, 4, (1, 2, 8), -1),
+        ([1, 4, 8, 7, 0], 5, (1, 2, 3, 4), -8),
+        ([1, 2, 2, 1, 1], 4, (3, 4), -1),
+    ]:
+        v = pf_minor_check(seq, order)
+        assert (v.holds, v.property) == (False, f"pf_order_{order}")
+        assert v.witness == MinorWitness(rows, tuple(range(len(rows))), Fraction(det))
+
+
+def test_perturbed_a30_witness():
+    # A30's coefficients with a_15 raised 10% are PF2 but not PF3
+    h = list(coordinator(LatticeType("A", 30)).poly.coeffs)
+    h[15] = h[15] * 11 // 10
+    v = pf_minor_check(h, 3)
+    det = Fraction(-30677085150727932287548854388386783877936440000)
+    assert v.witness == MinorWitness((12, 15, 16), (0, 1, 2), det)
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=4, max_size=7),
+    st.integers(0, 7),
+    st.fractions(Fraction(-1, 3), Fraction(1, 3), max_denominator=9),
+)
+@settings(max_examples=80, deadline=None)
+def test_perturbed_products_match_brute_force_minors(pairs, index, shift):
+    # one entry of a PF sequence moved by up to a third of its value
+    seq = _product_of_linear_factors(pairs)
+    i = index % len(seq)
+    seq[i] += math.floor(shift * seq[i])
+    v = pf_minor_check(seq, 3)
+    w = v.witness
+    got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
+    assert got + (v.clamped,) == brute_force_pf(seq, 3)
+
+
 # products of (a x + b) with integers a, b >= 0, not both zero; b = 0
 # puts a root at 0 (a leading zero), a = 0 a trailing zero
 real_rooted_sequences = st.lists(
@@ -346,7 +385,7 @@ def test_complex_roots_still_reach_the_minors(minor_calls):
     v = pf_minor_check([1, 1, 1], 3, real_rooted=rr.is_real_rooted)
     assert not v.holds
     assert v.witness == MinorWitness((1, 2, 3), (0, 1, 2), Fraction(-1))
-    assert "_column_solid_nonnegative" in minor_calls
+    assert "_first_negative_minor" in minor_calls
     # (x - 1)^2 is real-rooted, but the rule needs nonnegative entries
     with pytest.raises(ValueError):
         pf_minor_check([1, -2, 1], 3, real_rooted=True)
