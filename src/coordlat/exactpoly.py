@@ -136,7 +136,7 @@ X = Polynomial((Fraction(0), Fraction(1)))
 
 def poly(coeffs: Iterable[Scalar]) -> Polynomial:
     """Build a Polynomial from any iterable of ints or Fractions."""
-    return Polynomial(tuple(Fraction(c) for c in coeffs))
+    return Polynomial(tuple(coeffs))
 
 
 def power(p: Polynomial, k: int) -> Polynomial:
@@ -176,21 +176,22 @@ def derivative(p: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """(ints, L) with values[k] == ints[k] / L, L the least common denominator.
+
+    Takes any value Fraction takes; ints and Fractions are read without a copy.
+    """
+    vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
+    L = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (L // v.denominator) for v in vals], L
+
+
 def primitive_integer_coeffs(p: Polynomial) -> tuple[int, ...]:
     """Scale p by a positive rational to primitive integer coefficients.
 
-    The sign of the leading coefficient is preserved.
+    The sign of the leading coefficient is preserved; zero gives ().
     """
-    if p.is_zero:
-        return ()
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return tuple(v // g for v in ints)
+    return tuple(_int_primitive(_clear_denominators(p.coeffs)[0]))
 
 
 def _int_derivative(c: list[int]) -> list[int]:

@@ -1,13 +1,15 @@
 """Coefficient-sequence diagnostics.
 
 Log-concavity, unimodality, internal zeros, and a truncated total
-positivity test on the Toeplitz matrix of the sequence.  Everything is
-decided in exact rational/integer arithmetic; a failed check always
-carries a witness that can be re-verified by direct computation.  A
-passing positivity test up to order k is certified by the C(n + k, k)
-order-k minors on the first k columns, which are Schur functions of the
-sequence and decide every smaller order too (see `pf_minor_check`); a
-failure reports the first negative one at the lowest failing order.
+positivity test on the Toeplitz matrix of the sequence.  Every check
+compares integers: `exactpoly._clear_denominators` scales the entries
+by their least common denominator, which changes no sign and no
+comparison.  A failed check carries a witness that can be re-verified
+by direct computation.  A passing positivity test up to order k is
+certified by the C(n + k, k) order-k minors on the first k columns,
+which are Schur functions of the sequence and decide every smaller
+order too (see `pf_minor_check`); a failure reports the first negative
+one at the lowest failing order.
 When the caller has proven that the polynomial sum a_k x^k has only
 real roots, the pass follows from that proof and no minor is evaluated:
 by Aissen-Schoenberg-Whitney a nonnegative sequence whose polynomial is
@@ -15,12 +17,13 @@ real-rooted is a Polya frequency sequence, all orders at once.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
+
+from .exactpoly import _clear_denominators
 
 __all__ = [
     "SequenceVerdict",
@@ -83,73 +86,39 @@ class SequenceVerdict:
             raise ValueError("failing verdict needs a witness")
 
 
-def _as_fractions(seq: Sequence) -> list[Fraction]:
-    return [v if type(v) is Fraction else Fraction(v) for v in seq]
-
-
 def check_log_concave(seq: Sequence) -> SequenceVerdict:
     """Weak log-concavity: a_k^2 >= a_{k-1} a_{k+1} at every interior index."""
-    vals = _as_fractions(seq)
-    if any(v < 0 for v in vals):
+    a, L = _clear_denominators(seq)
+    if any(v < 0 for v in a):
         raise ValueError("log-concavity check needs nonnegative entries")
-    for k in range(1, len(vals) - 1):
-        if vals[k] * vals[k] < vals[k - 1] * vals[k + 1]:
-            return SequenceVerdict(
-                "log_concave",
-                False,
-                LogConcavityWitness(k, vals[k - 1], vals[k], vals[k + 1]),
-            )
+    for k in range(1, len(a) - 1):
+        if a[k] * a[k] < a[k - 1] * a[k + 1]:
+            w = LogConcavityWitness(k, *(Fraction(v, L) for v in a[k - 1 : k + 2]))
+            return SequenceVerdict("log_concave", False, w)
     return SequenceVerdict("log_concave", True)
 
 
 def check_unimodal(seq: Sequence) -> SequenceVerdict:
     """Weakly rising then weakly falling; plateaus are allowed."""
-    vals = _as_fractions(seq)
+    a, _ = _clear_denominators(seq)
     descent = None
-    for i in range(len(vals) - 1):
-        if vals[i] > vals[i + 1]:
+    for i in range(len(a) - 1):
+        if a[i] > a[i + 1]:
             if descent is None:
                 descent = i
-        elif vals[i] < vals[i + 1] and descent is not None:
-            return SequenceVerdict(
-                "unimodal", False, UnimodalityWitness(descent, i)
-            )
+        elif a[i] < a[i + 1] and descent is not None:
+            return SequenceVerdict("unimodal", False, UnimodalityWitness(descent, i))
     return SequenceVerdict("unimodal", True)
 
 
 def check_no_internal_zeros(seq: Sequence) -> SequenceVerdict:
     """No zero entry strictly between the first and last nonzero entries."""
-    support = [i for i, v in enumerate(seq) if v != 0]
-    if len(support) >= 2:
-        for i in range(support[0] + 1, support[-1]):
-            if seq[i] == 0:
-                return SequenceVerdict(
-                    "no_internal_zeros", False, InternalZeroWitness(i)
-                )
+    a, _ = _clear_denominators(seq)
+    support = [i for i, v in enumerate(a) if v]
+    if support and 0 in a[support[0] : support[-1]]:
+        witness = InternalZeroWitness(a.index(0, support[0]))
+        return SequenceVerdict("no_internal_zeros", False, witness)
     return SequenceVerdict("no_internal_zeros", True)
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _pf2_by_log_concavity(a: list[int]) -> bool:
@@ -159,10 +128,7 @@ def _pf2_by_log_concavity(a: list[int]) -> bool:
     Toeplitz minor being nonnegative (Brenti, Mem. AMS 413, 1989), so
     True settles the order-2 pass in O(n).
     """
-    support = [i for i, v in enumerate(a) if v]
-    if support and 0 in a[support[0] : support[-1]]:
-        return False
-    return all(a[k] * a[k] >= a[k - 1] * a[k + 1] for k in range(1, len(a) - 1))
+    return check_no_internal_zeros(a).holds and check_log_concave(a).holds
 
 
 def _first_negative_minor(
@@ -173,11 +139,14 @@ def _first_negative_minor(
     None when every such minor is >= 0.  Leading zeros are stripped
     first, so a_0 > 0, and added back to the rows; rows run in
     lexicographic order over range(len(a) + k - 1), since every later
-    row is zero.  Each minor is expanded along its last row: the k
-    cofactors are computed once per choice of the first k - 1 rows, and
-    each last row then costs k multiplications.  Order 3 is unrolled by
-    hand.  A hit's last row is found again by value: an equal earlier
-    row would have given the same minor first.
+    row is zero.  Order 3 is unrolled by hand; a hit's last row is found
+    again by value, since an equal earlier row gives the same minor.
+    Other orders walk the row prefixes depth first.  A prefix of s rows
+    carries its s x s minors on every s-subset of the k columns, each
+    expanded along the newest row from the (s - 1)-minors; at depth
+    k - 1 only the minor on all k columns is needed.  A prefix whose
+    minors all vanish is pruned: by the generalised Laplace expansion
+    along its rows, every k x k minor extending it is 0.
     """
     lead = next((i for i, v in enumerate(a) if v), len(a))
     padded = [0] * (k - 1) + a[lead:] + [0] * (k - 1)
@@ -195,18 +164,38 @@ def _first_negative_minor(
                         last = rows.index([x0, x1, x2], j + 1)
                         return (i + lead, j + lead, last + lead), det
         return None
-    for head in combinations(range(len(rows)), k - 1):
-        sub = [rows[r] for r in head]
-        cof = [
-            (-1) ** (k - 1 + j) * _bareiss_det([row[:j] + row[j + 1 :] for row in sub])
-            for j in range(k)
-        ]
-        if any(cof):
-            for x in rows[head[-1] + 1 :]:
-                if (det := sum(map(operator.mul, cof, x))) < 0:
-                    last = rows.index(x, head[-1] + 1)
-                    return tuple(r + lead for r in (*head, last)), det
-    return None
+    # plan[s][m][c] = (sign, i): column c's term in the expansion of the
+    # m-th (s + 1)-subset of range(k) along row s, i indexing the subset
+    # without c among the s-subsets; sign is 0 for a column outside it
+    plan = []
+    for s in range(k):
+        at = {cols: i for i, cols in enumerate(combinations(range(k), s))}
+        plan.append(
+            [
+                [
+                    ((-1) ** (s + cols.index(c)), at[tuple(d for d in cols if d != c)])
+                    if c in cols
+                    else (0, 0)
+                    for c in range(k)
+                ]
+                for cols in combinations(range(k), s + 1)
+            ]
+        )
+
+    def walk(prefix: tuple[int, ...], minors: list[int]) -> Optional[tuple]:
+        s = len(prefix)
+        cofactors = [[w * minors[i] for w, i in terms] for terms in plan[s]]
+        for r in range(prefix[-1] + 1 if prefix else 0, len(rows) - k + s + 1):
+            x = rows[r]
+            grown = [sum(map(operator.mul, cof, x)) for cof in cofactors]
+            if s == k - 1:
+                if grown[0] < 0:
+                    return tuple(q + lead for q in (*prefix, r)), grown[0]
+            elif any(grown) and (hit := walk((*prefix, r), grown)):
+                return hit
+        return None
+
+    return walk((), [1])
 
 
 def pf_minor_check(
@@ -216,9 +205,10 @@ def pf_minor_check(
 
     The matrix entries are a_{i-j} (zero outside the sequence range).
     max_order is clamped to the sequence length n + 1, and `clamped`
-    says so.  Entries are scaled by their common denominator first;
-    scaling multiplies every order-s minor by a positive constant, so
-    verdicts are unaffected.  This is a necessary condition for the
+    says so.  Entries are scaled to integers by their least common
+    denominator L first; that multiplies every order-s minor by L^s, so
+    verdicts are unaffected and a witness's determinant is divided by
+    L^s again.  This is a necessary condition for the
     sequence to be a Polya frequency sequence, not the full (all-orders)
     decision.
 
@@ -267,12 +257,12 @@ def pf_minor_check(
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    vals = _as_fractions(seq)
-    if not vals:
+    a, L = _clear_denominators(seq)
+    if not a:
         raise ValueError("empty sequence")
-    if any(v < 0 for v in vals):
+    if any(v < 0 for v in a):
         raise ValueError("total positivity check needs nonnegative entries")
-    n = len(vals) - 1
+    n = len(a) - 1
     clamped = False
     if max_order > n + 1:
         max_order = n + 1
@@ -280,11 +270,6 @@ def pf_minor_check(
     passed = SequenceVerdict(f"pf_order_{max_order}", True, None, clamped)
     if real_rooted or max_order < 2:
         return passed
-
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    a = [int(v * lcm) for v in vals]
 
     if not _pf2_by_log_concavity(a):
         order, hit = 2, _first_negative_minor(a, 2)
@@ -298,5 +283,5 @@ def pf_minor_check(
                 order, hit = s, lower
                 break
     rows, det = hit
-    witness = MinorWitness(rows, tuple(range(order)), Fraction(det, lcm**order))
+    witness = MinorWitness(rows, tuple(range(order)), Fraction(det, L**order))
     return SequenceVerdict(passed.property, False, witness, clamped)

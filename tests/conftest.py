@@ -33,7 +33,7 @@ def minor_calls(monkeypatch):
     from coordlat import seqanalysis
 
     calls = []
-    for name in ("_pf2_by_log_concavity", "_first_negative_minor", "_bareiss_det"):
+    for name in ("_pf2_by_log_concavity", "_first_negative_minor"):
         real = getattr(seqanalysis, name)
 
         def spy(*args, _real=real, _name=name):

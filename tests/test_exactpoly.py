@@ -1,8 +1,9 @@
 """Polynomial arithmetic and number-theory helpers."""
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coordlat import exactpoly
@@ -90,6 +91,41 @@ def test_primitive_integer_coeffs():
     assert primitive_integer_coeffs(poly([-4, -6])) == (-2, -3)
     # constants collapse to their sign once content is stripped
     assert primitive_integer_coeffs(poly([7])) == (1,)
+
+
+def test_clear_denominators_reads_every_fraction_input():
+    ints, L = exactpoly._clear_denominators([Fraction(1, 2), "1/3", 0.25, 2, "0"])
+    assert (ints, L) == ([6, 4, 3, 24, 0], 12)
+    assert exactpoly._clear_denominators([]) == ([], 1)
+    assert exactpoly._clear_denominators([Fraction(-3, 4), -2]) == ([-3, -8], 4)
+
+
+def two_loop_primitive(p):
+    """Reference: an lcm loop over the denominators, then a gcd loop."""
+    if p.is_zero:
+        return ()
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in ints)
+
+
+@given(st.lists(rationals, max_size=8), st.sampled_from([1, 6, 35]))
+@settings(max_examples=100, deadline=None)
+@example([], 1)
+@example([Fraction(1, 2), Fraction(-3, 4)], 1)  # negative leading coefficient
+@example([Fraction(2, 3), 0, Fraction(4, 9)], 6)
+def test_primitive_integer_coeffs_match_two_loop_reference(coeffs, content):
+    p = poly(c * content for c in coeffs)
+    got = primitive_integer_coeffs(p)
+    assert got == two_loop_primitive(p)
+    assert all(type(v) is int for v in got)
+    if got:
+        assert (got[-1] > 0) == (p.coeffs[-1] > 0)
 
 
 def test_squarefree_decomposition_known_factors():

@@ -15,6 +15,7 @@ from coordlat.seqanalysis import (
     LogConcavityWitness,
     MinorWitness,
     UnimodalityWitness,
+    _first_negative_minor,
     check_log_concave,
     check_no_internal_zeros,
     check_unimodal,
@@ -64,6 +65,17 @@ def test_log_concave_failure_carries_first_witness():
     assert v2.witness.index == 1
 
 
+def test_log_concave_witness_on_rational_and_mixed_entries():
+    fractions = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]
+    expected = LogConcavityWitness(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    for seq in (fractions, [0.5, "1/3", Fraction(1, 4), "0.2"]):
+        w = check_log_concave(seq).witness
+        assert w == expected
+        assert all(type(v) is Fraction for v in (w.left, w.center, w.right))
+    v = check_unimodal([0.5, "1/3", Fraction(1, 2)])
+    assert v.witness == UnimodalityWitness(0, 1)
+
+
 def test_log_concave_rejects_negative_entries():
     with pytest.raises(ValueError):
         check_log_concave([1, -1, 1])
@@ -98,10 +110,12 @@ def test_internal_zeros():
         ([1, 0, 1], 1),
         ([0, 3, 0, 0, 5, 0], 2),
         ([Fraction(1, 3), 0, Fraction(-2, 5)], 1),
+        (["1", "0", "1"], 1),
     ],
 )
 def test_internal_zeros_same_for_int_fraction_and_mixed(seq, index):
-    # entries are compared with zero as given, without a Fraction copy
+    # entries are read as Fraction reads them, as in the other checks,
+    # so the string "0" is a zero
     forms = [
         seq,
         tuple(Fraction(v) for v in seq),
@@ -344,6 +358,82 @@ def test_perturbed_products_match_brute_force_minors(pairs, index, shift):
     w = v.witness
     got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
     assert got + (v.clamped,) == brute_force_pf(seq, 3)
+
+
+def bareiss_det(m):
+    """Fraction-free determinant of an integer matrix."""
+    n = len(m)
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def cofactor_scan(a, k):
+    """First negative k x k minor on columns 0..k-1 as (rows, det), or None.
+
+    Every choice of the first k - 1 rows in lexicographic order, its k
+    cofactors each a Bareiss determinant, then every later last row.
+    """
+    lead = next((i for i, v in enumerate(a) if v), len(a))
+    padded = [0] * (k - 1) + a[lead:] + [0] * (k - 1)
+    rows = [padded[r : r + k][::-1] for r in range(len(padded) - k + 1)]
+    for head in combinations(range(len(rows)), k - 1):
+        sub = [rows[r] for r in head]
+        cof = [
+            (-1) ** (k - 1 + j) * bareiss_det([row[:j] + row[j + 1 :] for row in sub])
+            for j in range(k)
+        ]
+        for last in range(head[-1] + 1, len(rows)):
+            if (det := sum(c * x for c, x in zip(cof, rows[last]))) < 0:
+                return tuple(r + lead for r in (*head, last)), det
+    return None
+
+
+@st.composite
+def walk_cases(draw):
+    # up to 12 entries, fewer at higher orders: when nothing fails, the
+    # reference spends k Bareiss determinants on each of the
+    # C(n + k - 1, k - 1) heads, at most 792 here
+    k = draw(st.integers(4, 7))
+    room = {4: 12, 5: 9, 6: 7, 7: 5}[k]
+    pairs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=room - 1)
+    seq = draw(
+        st.one_of(
+            st.lists(st.integers(0, 9), min_size=1, max_size=room),
+            pairs.map(_product_of_linear_factors),
+        )
+    )
+    if draw(st.booleans()):  # move one entry, so a PF product can fail late
+        i = draw(st.integers(0, len(seq) - 1))
+        seq[i] += draw(st.integers(-seq[i], 3))
+    trailing = draw(st.integers(0, min(2, room - len(seq))))
+    return k, [0] * draw(st.integers(0, 2)) + seq + [0] * trailing
+
+
+@given(walk_cases())
+@settings(max_examples=100, deadline=None)
+@example((4, [1, 4, 8, 7, 0]))
+@example((5, [0, 1, 4, 8, 7]))
+@example((6, [1] * 6))
+@example((7, [0, 0, 1, 2, 1, 0]))
+def test_minor_walk_matches_cofactor_scan(case):
+    k, a = case
+    assert _first_negative_minor(a, k) == cofactor_scan(a, k)
 
 
 # products of (a x + b) with integers a, b >= 0, not both zero; b = 0
