@@ -31,15 +31,12 @@ from .coordinator import (
     EXCEPTIONAL_RANKS,
     MIN_RANK,
     LatticeType,
-    UnsupportedTypeError,
     coordinator,
     legendre_identity_check,
 )
 from .exactpoly import Polynomial
 from .latticeenum import (
-    ExpensiveLatticeError,
     MemoryBudgetExceeded,
-    ReconstructionError,
     enumerate_lengths,
     lattice_spec,
     oracle_verify,
@@ -394,15 +391,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         else:
             Path(args.out).write_text(text)
-    except (
-        MemoryBudgetExceeded,
-        UnsupportedTypeError,
-        ExpensiveLatticeError,
-        ReconstructionError,
-        BracketingError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (MemoryBudgetExceeded, BracketingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -208,24 +208,24 @@ def _int_primitive(c: list[int]) -> list[int]:
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b, scaled to a positive multiple of rem(a, b)."""
+    """Pseudo-remainder of a by b, scaled to a positive multiple of rem(a, b).
+
+    Each step takes r to |lb| r - sign(lb) lr x^s b, which is
+    |lb| (r - (lr / lb) x^s b): a positive multiple of one division step.
+    """
     r = list(a)
     lb = b[-1]
+    ub = abs(lb)
     db = len(b) - 1
-    negate = False
     while len(r) - 1 >= db:
-        lr = r.pop()
-        r = [lb * c for c in r]
+        lr = r.pop() if lb > 0 else -r.pop()  # sign(lb) lr
+        r = [ub * c for c in r]
         shift = len(r) - db
         for i, c in enumerate(b[:-1]):
             r[shift + i] -= lr * c
         while r and r[-1] == 0:
             r.pop()
-        if lb < 0:
-            negate = not negate
-        if not r:
-            break
-    return [-x for x in r] if negate else r
+    return r
 
 
 def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:

@@ -288,17 +288,15 @@ def recover_coordinator(census: LengthCensus) -> Polynomial:
     """Coordinator polynomial from a census, by differencing the series.
 
     With d the lattice rank, h_j = sum_i (-1)^i C(d,i) S(j-i) for
-    j = 0..d; the result is validated by expanding it back out to the
-    census depth.
+    j = 0..d: the first d + 1 coefficients of (1-x)^d S(x).  A negative
+    h_j, or an h that does not expand back to every census level, raises
+    ReconstructionError; only levels beyond d can fail the second check.
     """
     d = census.spec.rank
     if census.K < d:
         raise ValueError(f"census depth {census.K} is below the rank {d}")
     S = census.counts
-    coeffs = []
-    for j in range(d + 1):
-        h = sum((-1) ** i * binom(d, i) * S[j - i] for i in range(j + 1))
-        coeffs.append(h)
+    coeffs = [sum((-1) ** i * binom(d, i) * S[j - i] for i in range(j + 1)) for j in range(d + 1)]
     for j, h in enumerate(coeffs):
         if h < 0:
             raise ReconstructionError(
@@ -319,44 +317,31 @@ def oracle_verify(
     allow_expensive: bool = False,
     memory_budget_mib: Optional[int] = None,
 ) -> OracleReport:
-    """Cross-check closed forms against the brute-force census.
+    """Check the brute-force census of a built-in type in one pass.
 
-    For A/B/C/D the closed-form series must match the census entry by
-    entry; when depth allows, the census is also folded back into a
-    polynomial that must equal the closed form.  For the exceptional
-    types the recovered polynomial itself is the result.
+    For A/B/C/D the census must match the closed-form series h/(1-x)^d
+    entry by entry; at K >= d the report also carries the census
+    recovered into a polynomial.  That is h itself: the first d + 1
+    coefficients of (1-x)^d times h's series are h, since deg h <= d.
+    For the exceptional types the recovered polynomial is the result,
+    and a census shallower than d or rejected by recovery is a mismatch.
     """
     spec = lattice_spec(ltype, allow_expensive)
     census = enumerate_lengths(spec, K, memory_budget_mib=memory_budget_mib)
-    if ltype.tag in CLOSED_FORM_TAGS:
-        h = coordinator(ltype).poly
-        expected = series_expand(h, ltype.rank, K)
-        for k in range(K + 1):
-            if expected[k] != census.counts[k]:
-                return OracleReport(
-                    ltype,
-                    K,
-                    False,
-                    census,
-                    first_mismatch=(k, int(expected[k]), census.counts[k]),
-                    closed_form=h,
-                    detail=f"series mismatch at k={k}",
-                )
-        recovered = None
-        if K >= ltype.rank:
-            recovered = recover_coordinator(census)
-            if recovered != h:
-                return OracleReport(
-                    ltype, K, False, census,
-                    closed_form=h, recovered=recovered,
-                    detail="recovered polynomial differs from closed form",
-                )
-        return OracleReport(ltype, K, True, census, closed_form=h, recovered=recovered)
-    try:
-        recovered = recover_coordinator(census)
-    except (ReconstructionError, ValueError) as exc:
-        return OracleReport(ltype, K, False, census, detail=str(exc))
-    return OracleReport(ltype, K, True, census, recovered=recovered)
+    if ltype.tag not in CLOSED_FORM_TAGS:
+        try:
+            return OracleReport(ltype, K, True, census, recovered=recover_coordinator(census))
+        except ValueError as exc:
+            return OracleReport(ltype, K, False, census, detail=str(exc))
+    h = coordinator(ltype).poly
+    for k, (want, got) in enumerate(zip(series_expand(h, ltype.rank, K), census.counts)):
+        if want != got:
+            return OracleReport(
+                ltype, K, False, census, first_mismatch=(k, int(want), got),
+                closed_form=h, detail=f"series mismatch at k={k}",
+            )
+    recovered = recover_coordinator(census) if K >= ltype.rank else None
+    return OracleReport(ltype, K, True, census, closed_form=h, recovered=recovered)
 
 
 def format_generator_table(spec: LatticeSpec) -> str:

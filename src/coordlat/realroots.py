@@ -591,11 +591,19 @@ class _LadderCounter:
         return lo - 1 + (s == (1 if lo % 2 == 0 else -1))
 
 
-def _root_counter(c: list[int], rungs: list[Fraction] | None) -> _SturmCounter | _LadderCounter:
-    """Ladder counter when rungs certify c, else Sturm; c squarefree, positive leading."""
+def _counter(p: Polynomial) -> tuple[list[int], _SturmCounter | _LadderCounter, _Guesses]:
+    """(c, root counter of c, float root guesses), c squarefree with p's roots.
+
+    c is p's primitive coefficients when their ladder closes, which proves
+    them squarefree, and else p's squarefree part, on its own ladder or Sturm.
+    """
+    c = list(primitive_integer_coeffs(p))
+    rungs, guesses = _certificate(c)
+    if rungs is None and (sf := _squarefree_int(p)) != c:
+        c, (rungs, guesses) = sf, _certificate(sf)
     if rungs is not None:
-        return _LadderCounter(rungs)
-    return _SturmCounter(_int_prs(c, _int_derivative(c)))
+        return c, _LadderCounter(rungs), guesses
+    return c, _SturmCounter(_int_prs(c, _int_derivative(c))), guesses
 
 
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
@@ -610,8 +618,7 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return 0
-    sf = _squarefree_int(p)
-    counter = _root_counter(sf, _certificate(sf)[0])
+    c, counter, _ = _counter(p)
     if interval is None:
         return counter.total
     q = math.lcm(interval.lo.denominator, interval.hi.denominator)
@@ -619,7 +626,7 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
         counter = _LadderCounter([r * q for r in counter.rungs])
     else:
         counter = _SturmCounter([_scaled(f, q) for f in counter.chain])
-    c = _scaled(sf, q)
+    c = _scaled(c, q)
     lo, hi = int(interval.lo * q), int(interval.hi * q)
     s_lo = _sign_at(c, lo)
     return counter.above(lo, 0, s_lo) - counter.above(hi, 0, _sign_at(c, hi)) + (s_lo == 0)
@@ -639,8 +646,7 @@ def is_real_rooted(p: Polynomial) -> RootReport:
     distinct = 0
     weighted = 0
     for f, m in squarefree_decomposition(p):
-        c = list(primitive_integer_coeffs(f))
-        k = _root_counter(c, _certificate(c)[0]).total
+        k = _counter(f)[1].total
         distinct += k
         weighted += m * k
     return RootReport(p.degree, distinct, weighted, weighted == p.degree)
@@ -786,11 +792,7 @@ def isolate_real_roots(
         raise ValueError("width must be positive")
     if p.degree < 1:
         return ()
-    c = list(primitive_integer_coeffs(p))
-    rungs, guesses = _certificate(c)
-    if rungs is None and (sf := _squarefree_int(p)) != c:
-        c, (rungs, guesses) = sf, _certificate(sf)
-    counter = _root_counter(c, rungs)
+    c, counter, guesses = _counter(p)
     wn, wd = width.numerator, width.denominator
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
     cells = _pick_cells(c, -bound, bound, 1, wn, wd, counter.above, guesses())

@@ -1,5 +1,5 @@
-"""Shared fixtures: a collector for the acceptance criterion verdicts, and a
-spy on the Toeplitz-minor evaluators."""
+"""Shared fixtures: a collector for the acceptance criterion verdicts, a
+spy on the Toeplitz-minor evaluators, and a corrupted census."""
 import pytest
 
 _criterion_lines: list[tuple[int, str]] = []
@@ -42,6 +42,24 @@ def minor_calls(monkeypatch):
 
         monkeypatch.setattr(seqanalysis, name, spy)
     return calls
+
+
+@pytest.fixture
+def corrupt_census(monkeypatch):
+    """Call with a level: each census oracle_verify takes then reads 2 more there."""
+    from coordlat import latticeenum
+
+    real = latticeenum.enumerate_lengths
+
+    def corrupt(level):
+        def corrupted(spec, K, **kw):
+            counts = list(real(spec, K, **kw).counts)
+            counts[level] += 2
+            return latticeenum.LengthCensus(spec, K, counts)
+
+        monkeypatch.setattr(latticeenum, "enumerate_lengths", corrupted)
+
+    return corrupt
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

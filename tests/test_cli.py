@@ -56,6 +56,17 @@ def test_gen_recovery_checks_levels_beyond_the_rank(capsys, monkeypatch, tag):
     assert err == "error: recovered polynomial fails to reproduce the census\n"
 
 
+def test_verify_reports_a_closed_form_mismatch(capsys, corrupt_census):
+    corrupt_census(4)
+    code, out, err = run(capsys, "verify", "--type", "B", "--n", "3", "--K", "5")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "matched:false" in lines
+    assert "first_mismatch:k=4 expected=306 got=308" in lines
+    assert "detail:series mismatch at k=4" in lines
+    assert not any(ln.startswith("recovered:") for ln in lines)
+
+
 def test_analyze_text_fields(capsys):
     code, out, _ = run(capsys, "analyze", "--type", "B", "--n", "16")
     assert code == 0

@@ -266,6 +266,46 @@ def test_squarefree_but_not_modulo_the_prime_goes_through_yun(monkeypatch):
     assert len(calls) == 2
 
 
+def negate_prem(a, b):
+    """Reference: lb r - lr x^s b per step, negated at the end after an odd count of lb < 0."""
+    r = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    negate = False
+    while len(r) - 1 >= db:
+        lr = r.pop()
+        r = [lb * c for c in r]
+        shift = len(r) - db
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= lr * c
+        while r and r[-1] == 0:
+            r.pop()
+        if lb < 0:
+            negate = not negate
+        if not r:
+            break
+    return [-x for x in r] if negate else r
+
+
+int_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda c: c[-1] != 0)
+
+
+@given(int_polys, int_polys, int_polys)
+@settings(max_examples=100, deadline=None)
+@example([1, 2, 3, 4], [1, -2], [1])  # three steps by a negative leading coefficient
+@example([0, 1, 0, 1], [5, 0, -3], [2, 1])  # two such steps, and a shared factor
+@example([3], [1, 1], [-1, 0, 1])  # a dividend below the divisor's degree
+def test_prem_matches_the_negating_reference(a, b, g):
+    a = [int(v) for v in (poly(a) * poly(g)).coeffs]
+    b = [int(v) for v in (poly(b) * poly(g)).coeffs]
+    assert exactpoly._int_prem(a, b) == negate_prem(a, b)
+    chain, gcd = exactpoly._int_prs(a, b), exactpoly._int_gcd(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactpoly, "_int_prem", negate_prem)
+        assert exactpoly._int_prs(a, b) == chain
+        assert exactpoly._int_gcd(a, b) == gcd
+
+
 @pytest.mark.parametrize("tag", "ABCD")
 def test_closed_forms_decompose_as_yun_does(tag):
     for n in range(MIN_RANK[tag], 61):

@@ -395,6 +395,34 @@ def test_oracle_reports():
     assert [int(c) for c in rep.recovered.coeffs] == [1, 10, 7]
 
 
+def test_matching_series_recovers_the_closed_form():
+    # the first d + 1 coefficients of (1-x)^d h/(1-x)^d are h, since
+    # deg h <= d, so a census that matches the series recovers h itself
+    for tag in "ABCD":
+        for n in range(2 if tag == "D" else 1, 13):
+            t = lt(tag, n)
+            h = coordinator(t).poly
+            spec = lattice_spec(t)
+            for K in range(n, n + 4):
+                assert recover_coordinator(LengthCensus(spec, K, series_expand(h, n, K))) == h, (t, K)
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_closed_form_mismatch_is_reported(corrupt_census, level):
+    # B3 at K = 5: levels below, at and beyond the rank
+    t = lt("B", 3)
+    h = coordinator(t).poly
+    want = series_expand(h, 3, 5)[level]
+    corrupt_census(level)
+    rep = oracle_verify(t, 5)
+    assert not rep.matched
+    assert rep.first_mismatch == (level, want, want + 2)
+    assert all(type(v) is int for v in rep.first_mismatch)
+    assert rep.census.counts[level] == want + 2
+    assert (rep.closed_form, rep.recovered) == (h, None)
+    assert rep.detail == f"series mismatch at k={level}"
+
+
 def test_isomorphic_lattices_have_equal_censuses():
     a3 = enumerate_lengths(lattice_spec(lt("A", 3)), 5).counts
     d3 = enumerate_lengths(lattice_spec(lt("D", 3)), 5).counts

@@ -373,6 +373,22 @@ def test_non_closed_forms_take_sturm():
     assert (rep.distinct_real, rep.is_real_rooted) == (5, True)
 
 
+def test_closed_forms_are_counted_without_a_squarefree_part(monkeypatch):
+    # a closing ladder proves the closed form squarefree, so neither
+    # counting nor isolation takes its squarefree part
+    calls = []
+    part = realroots.squarefree_part
+    monkeypatch.setattr(realroots, "squarefree_part", lambda p: calls.append(p) or part(p))
+    for tag in "ABCD":
+        for n in (*range(3 if tag == "D" else 1, 13), 36):
+            h = h_of(tag, n)
+            assert count_real_roots(h) == len(isolate_real_roots(h)) == is_real_rooted(h).distinct_real
+    assert calls == []
+    prod = h_of("A", 3) * h_of("C", 2)
+    assert count_real_roots(prod) == 5
+    assert calls == [prod]
+
+
 def disc_holds(c, d):
     """d misses the real axis and, by Rouche, holds exactly one root of c."""
     return 1 << d.e < d.v and realroots._pellet(*realroots._shift_bounds(c, d.u, d.v, d.s), d.e)
