@@ -327,9 +327,9 @@ def _cmd_report(args) -> tuple[str, int]:
     return _table(cols, rows, pad=args.format == "text"), 0
 
 
-def _add_common(sp, n_required: bool = False) -> None:
+def _add_common(sp) -> None:
     sp.add_argument("--type", required=True, choices=_TYPE_CHOICES)
-    sp.add_argument("--n", type=int, required=n_required)
+    sp.add_argument("--n", type=int)
     sp.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sp.add_argument("--out", default=None)
     sp.add_argument("--allow-expensive", action="store_true")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactpoly import ONE, Polynomial, binom, double_factorial, legendre, poly
+from .exactpoly import ONE, Polynomial, binom, double_factorial, eval_at, legendre, poly
 
 __all__ = [
     "LatticeType",
@@ -171,25 +171,16 @@ def type_b_coefficient_ratios(n: int) -> tuple[Fraction, ...]:
 
 
 def legendre_identity_check(n: int) -> bool:
-    """Check h_A(x) = (1-x)^n L_n((1+x)/(1-x)) by exact expansion.
+    """Check h_A(x) = (1-x)^n P_n((1+x)/(1-x)) exactly at n + 1 points.
 
-    Writing L_n(t) = sum c_k t^k, the right side is
-    sum_k c_k (1+x)^k (1-x)^{n-k}; the comparison is exact.
+    Both sides are polynomials of degree at most n, since the right side
+    is sum_k c_k (1+x)^k (1-x)^(n-k) for P_n(t) = sum c_k t^k.  So they
+    are equal exactly when they agree at x = -1, ..., -(n+1).
     """
     if n < 1:
         raise ValueError(f"needs n >= 1, got {n}")
-    c = legendre(n).coeffs
-    one_plus = poly([1, 1])
-    one_minus = poly([1, -1])
-    # incremental power tables, one multiplication per step
-    plus_pows = [ONE]
-    for _ in range(n):
-        plus_pows.append(plus_pows[-1] * one_plus)
-    minus_pows = [ONE]
-    for _ in range(n):
-        minus_pows.append(minus_pows[-1] * one_minus)
-    acc = Polynomial(())
-    for k, ck in enumerate(c):
-        if ck:
-            acc = acc + (plus_pows[k] * minus_pows[n - k]).scale(ck)
-    return acc == coordinator(LatticeType("A", n)).poly
+    p_n, h_a = legendre(n), coordinator(LatticeType("A", n)).poly
+    return all(
+        (1 - x) ** n * eval_at(p_n, Fraction(1 + x, 1 - x)) == eval_at(h_a, x)
+        for x in range(-1, -n - 2, -1)
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -389,21 +390,19 @@ def squarefree_part(
 def series_expand(h: Polynomial, d: int, K: int) -> tuple[Fraction, ...]:
     """First K+1 coefficients of the power series h(x) / (1-x)^d.
 
-    Coefficient k is sum_j h_j * binom(d-1+k-j, d-1).
+    Dividing by 1 - x takes prefix sums, so the series is h's
+    coefficients, padded with zeros to K + 1 terms, summed d times.
+    The sums run on h scaled to integers, and each entry is divided back.
     """
     if d < 1:
         raise ValueError(f"series_expand needs d >= 1, got {d}")
     if K < 0:
         raise ValueError(f"series_expand needs K >= 0, got {K}")
-    out = []
-    for k in range(K + 1):
-        acc = Fraction(0)
-        for j, hj in enumerate(h.coeffs):
-            if j > k:
-                break
-            acc += hj * binom(d - 1 + k - j, d - 1)
-        out.append(acc)
-    return tuple(out)
+    ints, L = _clear_denominators(h.coeffs)
+    out = (ints + [0] * (K + 1))[: K + 1]
+    for _ in range(d):
+        out = list(accumulate(out))
+    return tuple(Fraction(v, L) for v in out)
 
 
 def legendre(n: int) -> Polynomial:

@@ -23,8 +23,8 @@ from operator import neg
 from pathlib import Path
 from typing import Optional
 
-from ..coordinator import CLOSED_FORM_TAGS, LatticeType, coordinator
-from ..exactpoly import Polynomial, binom, poly, series_expand
+from .coordinator import CLOSED_FORM_TAGS, LatticeType, coordinator
+from .exactpoly import Polynomial, binom, poly, series_expand
 
 __all__ = [
     "LatticeSpec",
@@ -320,11 +320,12 @@ def oracle_verify(
     """Check the brute-force census of a built-in type in one pass.
 
     For A/B/C/D the census must match the closed-form series h/(1-x)^d
-    entry by entry; at K >= d the report also carries the census
-    recovered into a polynomial.  That is h itself: the first d + 1
-    coefficients of (1-x)^d times h's series are h, since deg h <= d.
-    For the exceptional types the recovered polynomial is the result,
-    and a census shallower than d or rejected by recovery is a mismatch.
+    entry by entry, and at K >= d h is reported as the recovered
+    polynomial: the first d + 1 coefficients of (1-x)^d times h's series
+    are h, since deg h <= d, so recover_coordinator would return h and
+    none of its checks could fail.  For the exceptional types it runs,
+    and its polynomial is the result; a census shallower than d or
+    rejected by recovery is a mismatch.
     """
     spec = lattice_spec(ltype, allow_expensive)
     census = enumerate_lengths(spec, K, memory_budget_mib=memory_budget_mib)
@@ -340,7 +341,7 @@ def oracle_verify(
                 ltype, K, False, census, first_mismatch=(k, int(want), got),
                 closed_form=h, detail=f"series mismatch at k={k}",
             )
-    recovered = recover_coordinator(census) if K >= ltype.rank else None
+    recovered = h if K >= ltype.rank else None
     return OracleReport(ltype, K, True, census, closed_form=h, recovered=recovered)
 
 

@@ -151,6 +151,45 @@ def test_analyze_json(capsys):
     assert obj["pf"]["holds"] is True
 
 
+def test_analyze_prints_every_witness(capsys, monkeypatch):
+    # 3 + x + 3x^2 fails log-concavity, unimodality and order 2
+    from coordlat.exactpoly import poly
+
+    monkeypatch.setattr(cli, "_poly_for", lambda lt, allow_expensive: poly([3, 1, 3]))
+    argv = ("analyze", "--type", "A", "--n", "2", "--expect", "log-concave")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-4:] == [
+        "log_concave_witness:index=1 left=3 center=1 right=3",
+        "unimodal_witness:descent=0 ascent=1",
+        "pf_witness:rows=(1, 2) cols=(0, 1) det=-8",
+        "expect_failed:log-concave",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    # JSON carries no unimodal witness
+    assert out == (
+        '{"type":"A","n":2,"degree":2,"distinct_real":0,"real_with_multiplicity":0,'
+        '"real_rooted":false,"log_concave":false,"unimodal":false,"no_internal_zeros":true,'
+        '"pf":{"order":3,"holds":false,"clamped":false},'
+        '"log_concave_witness":{"index":1,"left":"3","center":"1","right":"3"},'
+        '"pf_witness":{"rows":[1,2],"cols":[0,1],"determinant":"-8"},'
+        '"expect_failed":"log-concave"}\n'
+    )
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[1] == "A,2,2,0,false,false,false,false"
+
+
+def test_analyze_prints_an_order_three_witness(capsys, monkeypatch):
+    from coordlat.exactpoly import poly
+
+    monkeypatch.setattr(cli, "_poly_for", lambda lt, allow_expensive: poly([1, 1, 1, 1]))
+    code, out, _ = run(capsys, "analyze", "--type", "A", "--n", "2", "--max-order", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "pf_witness:rows=(1, 2, 4) cols=(0, 1, 2) det=-1"
+
+
 def test_roots_type_d_shows_brackets(capsys):
     code, out, _ = run(capsys, "roots", "--type", "D", "--n", "3")
     assert code == 0

@@ -1,4 +1,5 @@
 """Closed-form coordinator polynomials for the classical families."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordlat.coordinator import (
+    _CLOSED_FORMS,
     CoordinatorPolynomial,
     LatticeType,
     UnsupportedTypeError,
@@ -14,7 +16,7 @@ from coordlat.coordinator import (
     legendre_identity_check,
     type_b_coefficient_ratios,
 )
-from coordlat.exactpoly import binom, poly
+from coordlat.exactpoly import ONE, ZERO, binom, legendre, poly
 
 
 def coeffs(tag, n):
@@ -120,6 +122,45 @@ def test_coefficient_ratios_are_rational_and_positive():
 def test_legendre_identity_small():
     for n in range(1, 12):
         assert legendre_identity_check(n)
+
+
+def expanded_legendre_identity(n):
+    # sum_k c_k (1+x)^k (1-x)^(n-k), expanded in full, against h_A
+    plus_pows, minus_pows = [ONE], [ONE]
+    for _ in range(n):
+        plus_pows.append(plus_pows[-1] * poly([1, 1]))
+        minus_pows.append(minus_pows[-1] * poly([1, -1]))
+    acc = ZERO
+    for k, ck in enumerate(legendre(n).coeffs):
+        if ck:
+            acc = acc + (plus_pows[k] * minus_pows[n - k]).scale(ck)
+    return acc == coordinator(LatticeType("A", n)).poly
+
+
+def test_legendre_identity_at_points_matches_the_expansion(monkeypatch):
+    for n in range(1, 41):
+        assert legendre_identity_check(n) is expanded_legendre_identity(n) is True
+    real = _CLOSED_FORMS["A"]
+
+    def raised(n):
+        cs = list(real(n).coeffs)
+        cs[n // 2] += 1
+        return poly(cs)
+
+    def plus_vanishing(n):
+        # + x (x+1) ... (x+n-1), zero at x = -1, ..., -(n-1)
+        return real(n) + math.prod((poly([m, 1]) for m in range(n)), start=ONE)
+
+    for corrupted in (raised, plus_vanishing):
+        monkeypatch.setitem(_CLOSED_FORMS, "A", corrupted)
+        for n in range(2, 13):
+            assert legendre_identity_check(n) is expanded_legendre_identity(n) is False
+
+
+def test_coefficients_are_the_polynomial_coeffs():
+    h = coordinator(LatticeType("D", 4))
+    assert h.coefficients() == h.poly.coeffs == (1, 20, 54, 20, 1)
+    assert all(type(c) is Fraction for c in h.coefficients())
 
 
 def test_constant_term_and_degree():

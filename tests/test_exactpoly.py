@@ -59,6 +59,24 @@ def test_power_matches_repeated_multiplication():
         power(p, -1)
 
 
+def test_pow_operator_is_power():
+    assert poly([1, 1]) ** 3 == poly([1, 3, 3, 1])
+    assert poly([1, 2]) ** 0 == ONE
+
+
+def test_str_lists_the_nonzero_terms():
+    assert str(poly([Fraction(1, 2), 0, -3, 1])) == "1/2 + -3*x^2 + x^3"
+    assert str(poly([2, -1])) == "2 + -1*x"
+    assert str(poly([0, 1, 0, 1])) == "x + x^3"
+    assert str(ZERO) == "0"
+
+
+def test_eval_method_is_eval_at():
+    p = poly([Fraction(1, 2), 0, -3, 1])
+    assert p.eval(Fraction(1, 3)) == Fraction(11, 54)
+    assert p.eval(2) == Fraction(-7, 2)
+
+
 def test_eval_exact_rational():
     p = poly([1, Fraction(1, 3)])
     assert eval_at(p, Fraction(3, 2)) == Fraction(3, 2)
@@ -155,6 +173,31 @@ def test_series_expansion():
     assert series_expand(poly([1, 4, 1]), 2, 3) == (1, 6, 12, 18)
     with pytest.raises(ValueError):
         series_expand(ONE, 0, 3)
+
+
+def binomial_series(h, d, K):
+    # coefficient k of h / (1-x)^d is sum_j h_j * binom(d-1+k-j, d-1)
+    out = []
+    for k in range(K + 1):
+        acc = Fraction(0)
+        for j, hj in enumerate(h.coeffs):
+            if j > k:
+                break
+            acc += hj * binom(d - 1 + k - j, d - 1)
+        out.append(acc)
+    return tuple(out)
+
+
+@given(
+    st.lists(rationals, max_size=13).map(poly),
+    st.integers(1, 12),
+    st.integers(0, 40),
+)
+@settings(max_examples=150)
+def test_series_by_prefix_sums_matches_binomial_sums(h, d, K):
+    got = series_expand(h, d, K)
+    assert got == binomial_series(h, d, K)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_legendre_first_values():

@@ -407,6 +407,33 @@ def test_matching_series_recovers_the_closed_form():
                 assert recover_coordinator(LengthCensus(spec, K, series_expand(h, n, K))) == h, (t, K)
 
 
+def test_matched_closed_form_is_reported_without_recovery(monkeypatch):
+    import coordlat.latticeenum as le
+
+    def no_recovery(census):
+        raise AssertionError("recover_coordinator called")
+
+    monkeypatch.setattr(le, "recover_coordinator", no_recovery)
+    real = le.enumerate_lengths
+    for tag in "ABCD":
+        for n in range(2 if tag == "D" else 1, 7):
+            t = lt(tag, n)
+            h = coordinator(t).poly
+
+            # the census the BFS counts (criterion 8), without its cost at rank 6
+            def series_census(spec, K, h=h, **kw):
+                return LengthCensus(spec, K, tuple(map(int, series_expand(h, spec.rank, K))))
+
+            monkeypatch.setattr(le, "enumerate_lengths", series_census)
+            for K in range(n, n + 3):
+                rep = oracle_verify(t, K)
+                assert rep.matched and rep.recovered == rep.closed_form == h, (t, K)
+    monkeypatch.setattr(le, "enumerate_lengths", real)
+    for tag in ("G2", "F4"):
+        with pytest.raises(AssertionError, match="recover_coordinator called"):
+            oracle_verify(lt(tag), lt(tag).rank)
+
+
 @pytest.mark.parametrize("level", [1, 3, 5])
 def test_closed_form_mismatch_is_reported(corrupt_census, level):
     # B3 at K = 5: levels below, at and beyond the rank
