@@ -408,17 +408,12 @@ def series_expand(h: Polynomial, d: int, K: int) -> tuple[Fraction, ...]:
 def legendre(n: int) -> Polynomial:
     """Legendre polynomial of degree n with exact rational coefficients.
 
-    Three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1},
-    normalized so every P_n(1) = 1.
+    P_n(x) = 2^-n sum_{k <= n/2} (-1)^k C(n,k) C(2n-2k, n) x^(n-2k), with
+    every P_n(1) = 1 (Szego, Orthogonal Polynomials, 4.2).
     """
     if n < 0:
         raise ValueError(f"legendre needs n >= 0, got {n}")
-    if n == 0:
-        return ONE
-    prev, cur = ONE, X
-    for k in range(1, n):
-        nxt = (X * cur).scale(Fraction(2 * k + 1, k + 1)) - prev.scale(
-            Fraction(k, k + 1)
-        )
-        prev, cur = cur, nxt
-    return cur
+    cs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        cs[n - 2 * k] = Fraction((-1) ** k * binom(n, k) * binom(2 * n - 2 * k, n), 2**n)
+    return poly(cs)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .coordinator import CLOSED_FORM_TAGS, LatticeType, coordinator
-from .exactpoly import Polynomial, binom, poly, series_expand
+from .exactpoly import Polynomial, poly, series_expand
 
 __all__ = [
     "LatticeSpec",
@@ -90,7 +90,12 @@ def _span_rank(vectors: tuple[tuple[int, ...], ...]) -> int:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A lattice given by generators: symmetric, nonzero, distinct."""
+    """A lattice given by generators: symmetric, nonzero, distinct.
+
+    Sorted, a vector with a negative first nonzero entry precedes one
+    with a positive one, so the first half of the generators holds one
+    vector of each pair x, -x and spans the same space as all of them.
+    """
 
     ambient_dim: int
     rank: int
@@ -117,7 +122,7 @@ class LatticeSpec:
                 raise ValueError(f"generator set not symmetric: missing -{g}")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
-        got = _span_rank(gens)
+        got = _span_rank(gens[: len(gens) // 2])
         if got != self.rank:
             raise ValueError(f"declared rank {self.rank}, span has rank {got}")
 
@@ -285,30 +290,29 @@ def enumerate_lengths(
 
 
 def recover_coordinator(census: LengthCensus) -> Polynomial:
-    """Coordinator polynomial from a census, by differencing the series.
+    """Coordinator polynomial from a census, by d rounds of differences.
 
-    With d the lattice rank, h_j = sum_i (-1)^i C(d,i) S(j-i) for
-    j = 0..d: the first d + 1 coefficients of (1-x)^d S(x).  A negative
-    h_j, or an h that does not expand back to every census level, raises
-    ReconstructionError; only levels beyond d can fail the second check.
+    With d the lattice rank, each round multiplies S(x) by 1 - x, so d
+    rounds leave (1-x)^d S(x) mod x^(K+1), whose first d + 1 entries are
+    h; a negative h_j raises ReconstructionError.  (1-x)^d is a unit on
+    truncated series, so h / (1-x)^d gives back S through K exactly when
+    every later entry is 0, and otherwise recovery raises too.
     """
     d = census.spec.rank
     if census.K < d:
         raise ValueError(f"census depth {census.K} is below the rank {d}")
-    S = census.counts
-    coeffs = [sum((-1) ** i * binom(d, i) * S[j - i] for i in range(j + 1)) for j in range(d + 1)]
-    for j, h in enumerate(coeffs):
+    diffs = list(census.counts)
+    for _ in range(d):
+        diffs[1:] = [b - a for a, b in zip(diffs, diffs[1:])]
+    for j, h in enumerate(diffs[: d + 1]):
         if h < 0:
             raise ReconstructionError(
                 f"negative coefficient h_{j} = {h}; census does not come "
                 f"from a rank-{d} coordinator polynomial"
             )
-    p = poly(coeffs)
-    if list(series_expand(p, d, census.K)) != list(S):
-        raise ReconstructionError(
-            "recovered polynomial fails to reproduce the census"
-        )
-    return p
+    if any(diffs[d + 1:]):
+        raise ReconstructionError("recovered polynomial fails to reproduce the census")
+    return poly(diffs[: d + 1])
 
 
 def oracle_verify(

@@ -79,7 +79,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Interval:
-    """Rational interval with lo < hi."""
+    """Rational interval, lo < hi: `in` tests (lo, hi); count_real_roots counts [lo, hi]."""
 
     lo: Fraction
     hi: Fraction

@@ -187,6 +187,7 @@ def test_criterion_08_enumeration_oracle(criterion_log):
         rep = oracle_verify(LatticeType(tag, n), 6)
         assert rep.matched, (tag, n, rep.first_mismatch)
         assert rep.recovered == rep.closed_form
+        assert recover_coordinator(rep.census) == rep.closed_form
     elapsed = time.perf_counter() - t0
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ok = elapsed < 30 and peak_mib < 1024

@@ -32,6 +32,18 @@ def test_gen_text_and_csv(capsys):
     assert out == "k,h_k\n0,1\n1,4\n2,1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("report", "--type", "A"), "error: --n is required for report\n"),
+        (("report", "--type", "D", "--n", "1"), "error: type D needs n >= 2\n"),
+    ],
+    ids=["no_n", "D1"],
+)
+def test_report_rank_checks(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_gen_exceptional_through_recovery(capsys):
     code, out, _ = run(capsys, "gen", "--type", "G2", "--format", "json")
     assert code == 0

@@ -178,3 +178,29 @@ def test_a_and_c_coefficient_symmetry(n):
         c = coeffs(tag, n)
         assert c[0] == c[-1] == 1
         assert all(v > 0 for v in c)
+
+
+A2 = (LatticeType("A", 2),)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: coordinator_product([]), "product needs at least one lattice type"),
+        (lambda: type_b_coefficient_ratios(0), "needs n >= 1, got 0"),
+        (lambda: legendre_identity_check(0), "needs n >= 1, got 0"),
+        (lambda: CoordinatorPolynomial(A2, 2, poly([1, 0, 1])), "coordinator coefficients must be positive"),
+        (lambda: CoordinatorPolynomial(A2, 2, poly([1, -4, 1])), "coordinator coefficients must be positive"),
+    ],
+    ids=["empty_product", "b_ratios_0", "legendre_identity_0", "zero_coefficient", "negative_coefficient"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_ltype_of_a_product_is_the_tuple_of_its_types():
+    a1, b2 = LatticeType("A", 1), LatticeType("B", 2)
+    assert coordinator_product([a1, b2]).ltype == (a1, b2)
+    assert coordinator_product([a1]).ltype == a1

@@ -1,6 +1,7 @@
 """Polynomial arithmetic and number-theory helpers."""
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,6 +206,47 @@ def test_legendre_first_values():
     assert legendre(1) == X
     assert legendre(2).coeffs == (Fraction(-1, 2), 0, Fraction(3, 2))
     assert legendre(3).coeffs == (0, Fraction(-3, 2), 0, Fraction(5, 2))
+
+
+@lru_cache(maxsize=None)
+def legendre_by_recurrence(n):
+    """P_n by the three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    if n < 2:
+        return (ONE, X)[n]
+    k = n - 1
+    up = (X * legendre_by_recurrence(k)).scale(Fraction(2 * k + 1, k + 1))
+    return up - legendre_by_recurrence(k - 1).scale(Fraction(k, k + 1))
+
+
+def test_legendre_explicit_sum_matches_the_recurrence():
+    for n in range(81):
+        p = legendre(n)
+        assert p == legendre_by_recurrence(n), n
+        assert p.degree == n and eval_at(p, 1) == 1
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: legendre(-1), ValueError, "legendre needs n >= 0, got -1"),
+        (lambda: series_expand(ONE, 1, -1), ValueError, "series_expand needs K >= 0, got -1"),
+        (lambda: exactpoly._int_exact_div([1, 1], [0, 2]), ArithmeticError, "division is not exact"),
+        (lambda: exactpoly._int_exact_div([1, 1], []), ZeroDivisionError, "division by zero polynomial"),
+        (lambda: squarefree_decomposition(ZERO), ValueError,
+         "zero polynomial has no squarefree decomposition"),
+    ],
+    ids=["legendre", "series_expand", "inexact_div", "div_by_zero", "squarefree_of_zero"],
+)
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def test_edge_values():
+    assert poly([1, 2]).coeff(2) == 0 and poly([1, 2]).coeff(-1) == 0
+    assert squarefree_decomposition(poly([5])) == ()
 
 
 @given(small_polys, small_polys, rationals)

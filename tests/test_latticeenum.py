@@ -1,5 +1,6 @@
 """Generator tables, BFS census, and coordinator recovery."""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordlat.coordinator import LatticeType, coordinator
-from coordlat.exactpoly import poly, series_expand
+from coordlat.exactpoly import binom, poly, series_expand
 from coordlat.latticeenum import (
     ExpensiveLatticeError,
     LatticeSpec,
@@ -146,6 +147,21 @@ def test_spec_validation():
         LatticeSpec(2, 1, ((1, 0, 0), (-1, 0, 0)))  # wrong length
     with pytest.raises(ValueError):
         LatticeSpec(1, 1, ())  # empty
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_lengths(lattice_spec(lt("A", 1)), -1), "K must be >= 0"),
+        (lambda: LatticeSpec(1, 1, ((1,), (-1,), (1,))), "duplicate generators"),
+        (lambda: LatticeSpec(1, 1, ((1,), (-1,)), scale=0), "scale must be a positive integer"),
+    ],
+    ids=["negative_K", "duplicate", "scale_0"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_census_validation():
@@ -295,6 +311,17 @@ def test_wrong_declared_rank_is_rejected():
         LatticeSpec(8, 8, e7.generators)
 
 
+@pytest.mark.parametrize(
+    "t",
+    [lt(t, n) for t in "ABC" for n in range(1, 31)] + [lt("D", n) for n in range(2, 31)]
+    + [lt(t) for t in ("G2", "F4", "E6", "E7", "E8")],
+    ids=str,
+)
+def test_first_half_of_a_built_in_table_has_its_rank(t):
+    g = lattice_spec(t, allow_expensive=True).generators
+    assert _span_rank(g[: len(g) // 2]) == _span_rank(g) == t.rank
+
+
 BUILT_IN = [lt(t, n) for t in "ABC" for n in range(1, 5)] + [lt("D", n) for n in range(2, 6)]
 BUILT_IN += [lt(t) for t in ("G2", "F4", "E6", "E7", "E8")]
 
@@ -324,6 +351,14 @@ def _symmetric_tables(draw):
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_full_bfs_on_drawn_tables(spec, K):
     assert enumerate_lengths(spec, K).counts == _reference_counts(spec, K)
+
+
+@given(_symmetric_tables())
+@settings(max_examples=100, deadline=None)
+def test_first_half_of_a_drawn_table_has_its_rank(spec):
+    # sorted, the vectors whose first nonzero entry is negative come first
+    g = spec.generators
+    assert _span_rank(g[: len(g) // 2]) == _span_rank(g)
 
 
 @pytest.mark.parametrize("gens", [((1,), (-1,), (2,), (-2,)), ((3,), (-3,)),
@@ -382,6 +417,60 @@ def test_recovery_rejects_inconsistent_counts():
         recover_coordinator(LengthCensus(spec, 3, (1, 4, 8, 14)))
     with pytest.raises(ReconstructionError):
         recover_coordinator(LengthCensus(spec, 2, (1, 2, 2)))
+
+
+def binomial_recovery(census):
+    """recover_coordinator by binomial sums and a re-expansion of the series."""
+    d = census.spec.rank
+    if census.K < d:
+        raise ValueError(f"census depth {census.K} is below the rank {d}")
+    S = census.counts
+    coeffs = [sum((-1) ** i * binom(d, i) * S[j - i] for i in range(j + 1)) for j in range(d + 1)]
+    for j, h in enumerate(coeffs):
+        if h < 0:
+            raise ReconstructionError(
+                f"negative coefficient h_{j} = {h}; census does not come "
+                f"from a rank-{d} coordinator polynomial"
+            )
+    p = poly(coeffs)
+    if list(series_expand(p, d, census.K)) != list(S):
+        raise ReconstructionError("recovered polynomial fails to reproduce the census")
+    return p
+
+
+RANK_AT_MOST_4 = [lt(t, n) for t in "ABC" for n in range(1, 5)] + [lt("D", n) for n in range(2, 5)]
+RANK_AT_MOST_4 += [lt("G2"), lt("F4")]
+
+
+@lru_cache(maxsize=None)
+def _census_counts(t, K):
+    return enumerate_lengths(lattice_spec(t), K).counts
+
+
+def _outcome(f, census):
+    try:
+        return f(census)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _perturbed_censuses(draw):
+    """A built-in census of rank <= 4 at K = 0..rank+3, zero to two of its
+    levels beyond the origin moved by an even amount that keeps them >= 0."""
+    t = draw(st.sampled_from(RANK_AT_MOST_4))
+    K = draw(st.integers(0, t.rank + 3))
+    counts = list(_census_counts(t, K))
+    if K:
+        for k in draw(st.lists(st.integers(1, K), max_size=2)):
+            counts[k] += 2 * draw(st.integers(-(counts[k] // 2), 3))
+    return LengthCensus(lattice_spec(t), K, tuple(counts))
+
+
+@given(_perturbed_censuses())
+@settings(max_examples=300, deadline=None)
+def test_differences_recover_what_binomial_sums_recover(census):
+    assert _outcome(recover_coordinator, census) == _outcome(binomial_recovery, census)
 
 
 def test_oracle_reports():

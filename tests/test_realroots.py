@@ -20,6 +20,7 @@ from coordlat.exactpoly import (
 from coordlat.realroots import (
     BracketingError,
     Interval,
+    RootReport,
     TrigBracket,
     count_real_roots,
     d_type_brackets,
@@ -857,3 +858,34 @@ def test_distinct_count_never_exceeds_degree(cs):
         return
     rep = is_real_rooted(p)
     assert 0 <= rep.distinct_real <= rep.real_with_multiplicity <= rep.degree
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Interval(1, 1), "need lo < hi, got [1, 1]"),
+        (lambda: sturm_chain(poly([3])), "sturm_chain needs degree >= 1"),
+        (lambda: count_real_roots(poly([])), "zero polynomial"),
+        (lambda: is_real_rooted(poly([])), "zero polynomial"),
+        (lambda: isolate_real_roots(poly([])), "zero polynomial"),
+        (lambda: TrigBracket(0, 0.0, 1.0, 1.0, 1.0, Interval(-2, -1)),
+         "window value at phi_hi has the wrong sign (j=0)"),
+        (lambda: TrigBracket(0, 0.0, 1.0, 1.0, -1.0, Interval(-1, 0)), "bracket endpoints must be negative"),
+    ],
+    ids=["empty_interval", "constant_chain", "count_zero", "real_rooted_zero", "isolate_zero",
+         "bracket_sign", "bracket_endpoint"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_interval_is_open_and_a_constant_has_no_roots():
+    iv = Interval(1, 2)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert iv.lo not in iv and iv.hi not in iv and Fraction(3, 2) in iv
+    c = poly([3])
+    assert count_real_roots(c) == 0 and count_real_roots(c, iv) == 0
+    assert is_real_rooted(c) == RootReport(0, 0, 0, True)
+    assert isolate_real_roots(c) == ()
