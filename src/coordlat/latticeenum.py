@@ -114,9 +114,9 @@ class LatticeSpec:
             raise ValueError("generator length differs from ambient_dim")
         if any(all(c == 0 for c in g) for g in gens):
             raise ValueError("zero vector among generators")
-        if len(set(gens)) != len(gens):
-            raise ValueError("duplicate generators")
         gset = set(gens)
+        if len(gset) != len(gens):
+            raise ValueError("duplicate generators")
         for g in gens:
             if tuple(map(neg, g)) not in gset:
                 raise ValueError(f"generator set not symmetric: missing -{g}")

@@ -28,13 +28,18 @@ multiple of the textbook one, so sign variations are unchanged.
 
 Isolation returns the cells that bisection on these counts ends in,
 from the bound 1 + max|c_k| / |c_d|, a one-root cell bisected on signs
-alone.  Every point is dyadic, n / 2^e, with the sign of
-2^(e d) c(n / 2^e) by Horner with shifts.  Each certificate also gives
-float roots (Legendre Newton for A, Newton on g for B, exactly for C,
-Newton on the window function for D), from which _pick_cells reads the
-final cells with exact checks; bisection runs only when they fail.
+alone.  Every point is dyadic, n / 2^e, and _sign_at takes the exact
+sign of 2^(e d) c(n / 2^e) in two passes.  Float Horner at x = n / 2^e,
+or on the reversed coefficients at 1 / x when |x| > 1, decides when
+its value clears (6d + 8) 2^-53 sum |c_k x^k|, a proven bound on its
+rounding error (Higham, section 5.1).  Exact Horner with shifts
+decides the rest, roots among them.  Each certificate also gives float
+roots (Legendre Newton for A, Newton on g for B, exactly for C, Newton
+on the window function for D), from which _pick_cells reads the final
+cells with exact checks; bisection runs only when they fail.
 refine_bracket does the same on q^d c(y / q), q the denominator of the
-bracket.
+bracket, and its float pass reads c itself at y / q: at rank 36 and q
+near 2^32 the scaled coefficients reach 2^1150, past the float range.
 
 For type D, x = -tan^2(phi/2) turns the polynomial into cos(n phi) plus
 a small perturbation whose sign alternates at the nodes j pi / n, so
@@ -182,8 +187,94 @@ def _scaled(c: list[int], q: int) -> list[int]:
     return out
 
 
-def _sign_at(c: list[int], n: int, e: int = 0) -> int:
-    """Exact sign of c at n / 2^e: of 2^(e d) c(n / 2^e), Horner with shifts."""
+class _Coeffs(list):
+    """Integer coefficients of q^d f(y / q), lowest degree first, with f's floats.
+
+    Made once per polynomial for the float pass of _sign_at: floats holds
+    f's coefficients as (float, abs) pairs, lowest degree first, or None
+    when one overflows a float.
+    """
+
+    __slots__ = ("q", "floats")
+
+    def __init__(self, f: list[int], q: int = 1, floats=None):
+        super().__init__(_scaled(f, q) if q > 1 else f)
+        self.q = q
+        if floats is None:
+            try:
+                floats = [(a, abs(a)) for a in map(float, f)]
+            except OverflowError:
+                pass
+        self.floats = floats
+
+    def scaled(self, q: int) -> _Coeffs:
+        """The integers scaled once more, by q; the floats are still f's."""
+        out = _Coeffs(self, q, self.floats)
+        out.q *= self.q
+        return out
+
+
+_TINY = 2.0**-1022  # the least normal float
+
+
+def _float_sign(c: _Coeffs, n: int, den: int) -> int | None:
+    """Sign of f at x = n / den by float Horner, f the unscaled polynomial of c; or None.
+
+    x is rounded once, by correctly rounded integer division.  For
+    |x| > 1 the reversal r(y) = y^d f(1 / y) is evaluated at y = den / n
+    instead, and f(x) = x^d r(1 / x) has sign sign(x)^d sign(r(y)); so
+    the evaluation point z (x or y) has |z| <= 1 and x^d never overflows.
+    A z below 2^-1022, other than the exact 0 of n = 0, leaves the sign
+    open: it may have lost its relative precision to underflow.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 5.1 and Lemma 3.3, u = 2^-53): Horner computes
+    sum a_k z^k (1 + t_k) with |t_k| <= gamma_(2d), for float
+    coefficients a_k = c_k (1 + u_k) and z = z_exact (1 + u_0), |u_i| <= u.
+    So every term c_k z_exact^k carries at most 3d + 1 rounding factors,
+    and the computed v has |v - f| <= gamma_(3d+1) T + d 2^-1074, with
+    T = sum |c_k| |z_exact|^k and the last term for underflow in the
+    products (|z| <= 1 keeps it from growing).  The same Horner pass on
+    |a_k| and |z| gives S >= T (1 - gamma_(3d+1)) - d 2^-1074.  For
+    m = 3d + 1 with m u <= 1/4 (d < 2^50), gamma_m <= 4 m u / 3, so
+    |v - f| <= 2 m u S plus at most 3 d 2^-1074; (6d + 8) u S +
+    (d + 1) 2^-1070 covers this and the two roundings of the bound
+    itself.  The sign of v is the sign of f when |v| is above the bound
+    and both are finite; an overflow gives inf or nan and leaves the
+    sign open, and so does a root of f.
+    """
+    if c.floats is None:
+        return None
+    d = len(c) - 1
+    if abs(n) <= den:
+        z, pairs, flip = n / den, reversed(c.floats), 1
+    else:
+        z, pairs, flip = den / n, c.floats, (-1 if n < 0 and d & 1 else 1)
+    az = abs(z)
+    if n and az < _TINY:
+        return None
+    v = s = 0.0
+    for a, b in pairs:
+        v = v * z + a
+        s = s * az + b
+    if (6 * d + 8) * 2.0**-53 * s + (d + 1) * 2.0**-1070 < abs(v) < math.inf:
+        return flip if v > 0 else -flip
+    return None
+
+
+def _sign_at(c: _Coeffs, n: int, e: int = 0) -> int:
+    """Exact sign of c at n / 2^e: of 2^(e d) c(n / 2^e).
+
+    Float Horner on c's unscaled polynomial (_float_sign) decides where
+    its proven error bound allows; exact Horner with shifts
+    (_exact_sign) decides what it leaves open.
+    """
+    s = _float_sign(c, n, c.q << e)
+    return _exact_sign(c, n, e) if s is None else s
+
+
+def _exact_sign(c: list[int], n: int, e: int) -> int:
+    """Sign of 2^(e d) c(n / 2^e), Horner in integers with shifts."""
     acc = c[-1]
     shift = 0
     for ck in reversed(c[:-1]):
@@ -192,12 +283,12 @@ def _sign_at(c: list[int], n: int, e: int = 0) -> int:
     return _sign(acc)
 
 
-def _rational_sign(c: list[int], r: Fraction) -> int:
+def _rational_sign(c: _Coeffs, r: Fraction) -> int:
     """Exact sign of c at the rational r: by shifts when r is dyadic, else scaled."""
     q = r.denominator
     if q & (q - 1) == 0:
         return _sign_at(c, r.numerator, q.bit_length() - 1)
-    return _sign_at(_scaled(c, q), r.numerator)
+    return _sign_at(c.scaled(q), r.numerator)
 
 
 def _variations(signs: list[int]) -> int:
@@ -233,7 +324,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 # ---------------------------------------------------------------------------
 
 
-def _ladder(c: list[int], separators: list[float], dyadic: bool = True) -> list[Fraction]:
+def _ladder(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[Fraction]:
     """Exact ladder for c, positive leading coefficient and c(0) > 0.
 
     The rungs are -1/2^40, the n-1 float separators (decreasing, rounded
@@ -471,14 +562,36 @@ def _root_disc(c: list[int], x: complex, spacing: float) -> _Disc | None:
     return None
 
 
-def _b_real_roots(n: int, thetas: list[float]) -> list[float]:
-    """-cot^2 u after real Newton in u = pi/2 - theta from each sign-change angle."""
+def _exact_newton(c: list[int], x: float) -> float:
+    """x - c(x) / c'(x), computed exactly and rounded once; x when c'(x) = 0.
+
+    With x = num / den, P(y) = den^d c(y / den) has integer coefficients,
+    and the step is (num P'(num) - P(num)) / (den P'(num)).
+    """
+    num, den = x.as_integer_ratio()
+    v = w = 0
+    for a in reversed(_scaled(c, den)):
+        w = w * num + v
+        v = v * num + a
+    return (num * w - v) / (w * den) if w else x
+
+
+def _b_real_roots(c: list[int], thetas: list[float]) -> list[float]:
+    """-cot^2 u after real Newton in u = pi/2 - theta from each sign-change angle.
+
+    Near u = 0 the two terms of g cancel, so the guess for the largest
+    root (about -10^6 at rank 100, good to about 10^-12 relative) takes
+    one more Newton step, on c itself.
+    """
+    n = len(c) - 1
     out = []
     for t in thetas:
         u = _b_newton(n, complex(math.pi / 2 - t))
         u = u.real if u is not None and 0 < u.real < math.pi / 2 else math.pi / 2 - t
         cot = math.cos(u) / math.sin(u)
         out.append(-cot * cot)
+    if out:
+        out[-1] = _exact_newton(c, out[-1])
     return out
 
 
@@ -495,7 +608,7 @@ def _b_certificate(c: list[int]) -> tuple[list[float], list[_Disc], _Guesses]:
     n = len(c) - 1
     thetas, guesses = _b_proposal(n)
     separators = [-math.tan((a + b) / 2) ** 2 for a, b in zip(thetas, thetas[1:])]
-    real = partial(_b_real_roots, n, thetas)
+    real = partial(_b_real_roots, c, thetas)
     discs = []
     for x in guesses:
         # the separators stand in for the real roots they separate
@@ -526,7 +639,7 @@ def _closed_form(tag: str, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in _CLOSED_FORMS[tag](n).coeffs)
 
 
-def _certificate(c: list[int]) -> tuple[list[Fraction] | None, _Guesses]:
+def _certificate(c: _Coeffs) -> tuple[list[Fraction] | None, _Guesses]:
     """(ladder or None, float root guesses) of c; a ladder for a closed form whose count closes.
 
     The r + 1 rungs prove r distinct real roots and the m discs 2m
@@ -554,7 +667,7 @@ def _certificate(c: list[int]) -> tuple[list[Fraction] | None, _Guesses]:
 class _SturmCounter:
     """N(x) = V(x) - V(+inf) on a signed remainder chain of squarefree c."""
 
-    def __init__(self, chain: list[list[int]]):
+    def __init__(self, chain: list[_Coeffs]):
         self.chain = chain
         self._v_top = _var_at_infinity(chain, True)
         self.total = _var_at_infinity(chain, False) - self._v_top
@@ -591,19 +704,20 @@ class _LadderCounter:
         return lo - 1 + (s == (1 if lo % 2 == 0 else -1))
 
 
-def _counter(p: Polynomial) -> tuple[list[int], _SturmCounter | _LadderCounter, _Guesses]:
+def _counter(p: Polynomial) -> tuple[_Coeffs, _SturmCounter | _LadderCounter, _Guesses]:
     """(c, root counter of c, float root guesses), c squarefree with p's roots.
 
     c is p's primitive coefficients when their ladder closes, which proves
     them squarefree, and else p's squarefree part, on its own ladder or Sturm.
     """
-    c = list(primitive_integer_coeffs(p))
+    c = _Coeffs(primitive_integer_coeffs(p))
     rungs, guesses = _certificate(c)
     if rungs is None and (sf := _squarefree_int(p)) != c:
-        c, (rungs, guesses) = sf, _certificate(sf)
+        c = _Coeffs(sf)
+        rungs, guesses = _certificate(c)
     if rungs is not None:
         return c, _LadderCounter(rungs), guesses
-    return c, _SturmCounter(_int_prs(c, _int_derivative(c))), guesses
+    return c, _SturmCounter([_Coeffs(f) for f in _int_prs(c, _int_derivative(c))]), guesses
 
 
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
@@ -625,8 +739,8 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     if isinstance(counter, _LadderCounter):
         counter = _LadderCounter([r * q for r in counter.rungs])
     else:
-        counter = _SturmCounter([_scaled(f, q) for f in counter.chain])
-    c = _scaled(c, q)
+        counter = _SturmCounter([f.scaled(q) for f in counter.chain])
+    c = c.scaled(q)
     lo, hi = int(interval.lo * q), int(interval.hi * q)
     s_lo = _sign_at(c, lo)
     return counter.above(lo, 0, s_lo) - counter.above(hi, 0, _sign_at(c, hi)) + (s_lo == 0)
@@ -658,7 +772,7 @@ def is_real_rooted(p: Polynomial) -> RootReport:
 # ---------------------------------------------------------------------------
 
 
-def _nonroot_split(c: list[int], a: int, b: int, e: int) -> tuple[int, int, int]:
+def _nonroot_split(c: _Coeffs, a: int, b: int, e: int) -> tuple[int, int, int]:
     """(m, k, s): c has sign s != 0 at m / 2^(e+k), strictly inside (a, b) / 2^e.
 
     The midpoint first (k = 1), then mid -/+ (b - a) / 2^(e+k) for k = 3, 4, ...
@@ -677,7 +791,7 @@ def _nonroot_split(c: list[int], a: int, b: int, e: int) -> tuple[int, int, int]
 
 
 def _bisect_sign(
-    c: list[int], a: int, b: int, e: int, s_a: int, wn: int, wd: int
+    c: _Coeffs, a: int, b: int, e: int, s_a: int, wn: int, wd: int
 ) -> tuple[int, int, int]:
     """Shrink (a, b, e), holding one sign change of c, to width at most wn / wd."""
     while (b - a) * wd > wn << e:
@@ -692,7 +806,7 @@ def _bisect_sign(
 
 
 def _pick_cells(
-    c: list[int], a: int, b: int, q: int, wn: int, wd: int,
+    c: _Coeffs, a: int, b: int, q: int, wn: int, wd: int,
     above: Callable[[int, int, int], int], guesses: list[float],
     memo: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> list[tuple[int, int, int]] | None:
@@ -751,7 +865,7 @@ def _pick_cells(
 
 
 def _bisect_cells(
-    c: list[int], a: int, b: int, wn: int, wd: int, counter: _SturmCounter | _LadderCounter
+    c: _Coeffs, a: int, b: int, wn: int, wd: int, counter: _SturmCounter | _LadderCounter
 ) -> list[tuple[int, int, int]]:
     """Bisection of (a, b) on counter's root counts for squarefree c, then sign refinement."""
     s_a = _sign_at(c, a)
@@ -843,7 +957,7 @@ def _d_roots(n: int) -> list[float]:
 @lru_cache(maxsize=64)
 def _d_ladder(n: int) -> tuple[Fraction, ...]:
     """The certified ladder of the degree-n type D closed form, n >= 3, as printed."""
-    return tuple(_ladder(list(_closed_form("D", n)), _tan_separators(n), dyadic=False))
+    return tuple(_ladder(_Coeffs(_closed_form("D", n)), _tan_separators(n), dyadic=False))
 
 
 def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, ...]:
@@ -902,7 +1016,7 @@ def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) ->
     cf = _closed_form("D", p.degree) if isinstance(b, TrigBracket) and p.degree >= 3 else None
     c = list(cf if p.coeffs == cf else primitive_integer_coeffs(p))
     q = math.lcm(iv.lo.denominator, iv.hi.denominator)
-    scaled = _scaled(c, q)
+    scaled = _Coeffs(c, q)
     lo, hi = int(iv.lo * q), int(iv.hi * q)
     s_lo, s_hi = _sign_at(scaled, lo), _sign_at(scaled, hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:

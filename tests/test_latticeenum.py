@@ -347,6 +347,70 @@ def _symmetric_tables(draw):
     return LatticeSpec(dim, _reference_span_rank(sorted(gens)), tuple(gens))
 
 
+def reference_spec_checks(dim, rank, generators, scale=1):
+    """LatticeSpec's checks as first written, one scan each: the sorted generators or the message."""
+    gens = tuple(sorted(tuple(map(int, g)) for g in generators))
+    if not gens:
+        return "generator set is empty"
+    if any(len(g) != dim for g in gens):
+        return "generator length differs from ambient_dim"
+    if any(all(c == 0 for c in g) for g in gens):
+        return "zero vector among generators"
+    if len(set(gens)) != len(gens):
+        return "duplicate generators"
+    gset = set(gens)
+    for g in gens:
+        if tuple(-c for c in g) not in gset:
+            return f"generator set not symmetric: missing -{g}"
+    if scale < 1:
+        return "scale must be a positive integer"
+    got = _span_rank(gens)
+    return gens if got == rank else f"declared rank {rank}, span has rank {got}"
+
+
+def spec_checks(dim, rank, generators, scale=1):
+    try:
+        return LatticeSpec(dim, rank, generators, scale).generators
+    except ValueError as err:
+        return str(err)
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=3), max_size=6),
+    st.booleans(),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_spec_checks_match_the_one_scan_reference(dim, vecs, symmetrize, rank, scale):
+    # ragged, zero, repeated and one-sided vectors, each check's message
+    # in the reference's order
+    gens = [tuple(v) for v in vecs]
+    if symmetrize:
+        gens += [tuple(-c for c in g) for g in gens]
+    want = reference_spec_checks(dim, rank, gens, scale)
+    assert spec_checks(dim, rank, gens, scale) == want
+
+
+@given(_symmetric_tables())
+@settings(max_examples=100, deadline=None)
+def test_drawn_tables_pass_the_one_scan_reference(spec):
+    args = (spec.ambient_dim, spec.rank, spec.generators[::-1], spec.scale)
+    assert spec_checks(*args) == reference_spec_checks(*args) == spec.generators
+
+
+def test_built_in_tables_pass_the_one_scan_reference():
+    tables = [lt(t, n) for t in "ABC" for n in range(1, 13)] + [lt("D", n) for n in range(2, 13)]
+    for ltype in tables + [lt("G2"), lt("F4"), lt("E6"), lt("E7"), lt("E8")]:
+        spec = lattice_spec(ltype, allow_expensive=True)
+        args = (spec.ambient_dim, spec.rank, spec.generators[::-1], spec.scale)
+        assert spec_checks(*args) == reference_spec_checks(*args) == spec.generators
+        # one generator of a pair dropped
+        args = (spec.ambient_dim, spec.rank, spec.generators[1:], spec.scale)
+        assert spec_checks(*args) == reference_spec_checks(*args)
+
+
 @given(_symmetric_tables(), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_full_bfs_on_drawn_tables(spec, K):

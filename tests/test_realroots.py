@@ -1,5 +1,6 @@
 """Sturm counting, isolation, and the trigonometric bracket ladder."""
 import cmath
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -42,7 +43,7 @@ def b_coeffs(n):
 
 def ladder_of(c):
     """The certified ladder of integer coefficients c, or None."""
-    return realroots._certificate(c)[0]
+    return realroots._certificate(realroots._Coeffs(c))[0]
 
 
 def test_sturm_chain_of_quadratic():
@@ -356,7 +357,7 @@ def test_ladder_counter_matches_sturm_at_rungs_and_roots():
         assert scaled.above(n, 0, s) == sturm.above(x)
         if q & (q - 1) == 0:
             assert ladder.above(n, q.bit_length() - 1, s) == sturm.above(x)
-            assert realroots._sign_at(c, n, q.bit_length() - 1) == s
+            assert realroots._sign_at(realroots._Coeffs(c), n, q.bit_length() - 1) == s
     # h_C(x^2) = ((1+x)^12 + (1-x)^12) / 2 has no rational roots, so use
     # a ladder polynomial with one: h_A(1) = 1 + x at x = -1
     one = realroots._LadderCounter(ladder_of([1, 1]))
@@ -596,7 +597,7 @@ def test_nudge_steps_off_three_grid_roots():
     # 4x^3 - x has roots 0 and -1/2, 1/2 on the grid of [-2, 2]: the
     # midpoint 0 and both nudges at -/+ 4/8 are roots, so the split is -4/16
     c = [0, -1, 0, 4]
-    assert realroots._nonroot_split(c, -2, 2, 0) == (-4, 4, 1)
+    assert realroots._nonroot_split(realroots._Coeffs(c), -2, 2, 0) == (-4, 4, 1)
     p = poly(c)
     for width in WIDTHS:
         assert isolate_real_roots(p, width) == sturm_only_intervals(p, width)
@@ -797,9 +798,9 @@ def test_exact_guesses_pick_the_bisection_cells(factors, width):
     p = poly([1])
     for a, b in factors:
         p = p * poly([-b, 2**a])
-    c = list(primitive_integer_coeffs(p))
+    c = realroots._Coeffs(primitive_integer_coeffs(p))
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
-    chain = exactpoly._int_prs(c, exactpoly._int_derivative(c))
+    chain = [realroots._Coeffs(f) for f in exactpoly._int_prs(c, exactpoly._int_derivative(c))]
     counter = realroots._SturmCounter(chain)
     guesses = [float(dyadic(f)) for f in factors]
     wn, wd = width.numerator, width.denominator
@@ -889,3 +890,128 @@ def test_interval_is_open_and_a_constant_has_no_roots():
     assert count_real_roots(c) == 0 and count_real_roots(c, iv) == 0
     assert is_real_rooted(c) == RootReport(0, 0, 0, True)
     assert isolate_real_roots(c) == ()
+
+
+# The float sign pass.  _float_sign may leave a sign open (None) but
+# must never give a wrong one; _sign_at sends what it leaves open to
+# _exact_sign.
+
+
+def linear_product(roots):
+    """Integer coefficients of the product of q x - p over the roots p / q."""
+    c = [1]
+    for r in roots:
+        p, q = r.numerator, r.denominator
+        c = [q * a - p * b for a, b in zip([0] + c, c + [0])]
+    return c
+
+
+def check_passes(cc, n, e):
+    """The float pass, where it decides the sign of cc at n / 2^e, agrees with the exact sign."""
+    want = realroots._exact_sign(list(cc), n, e)
+    got = realroots._float_sign(cc, n, cc.q << e)
+    assert got in ({None} if want == 0 else {want, None})
+    assert realroots._sign_at(cc, n, e) == want
+
+
+ROOT = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+
+
+@given(st.lists(ROOT, min_size=1, max_size=8), st.integers(1, 2**40), st.integers(0, 70))
+@settings(max_examples=150, deadline=None)
+def test_cheap_passes_never_give_a_wrong_sign(roots, q, e):
+    c = linear_product(roots)
+    plain = realroots._Coeffs(c)
+    scaled = plain.scaled(q)
+    for r in roots:
+        # at the root: dyadic roots on the plain polynomial, every root
+        # on the one scaled by its denominator, and on the one scaled by
+        # q first and then by the denominator (with a step either side)
+        if r.denominator & (r.denominator - 1) == 0:
+            check_passes(plain, r.numerator, r.denominator.bit_length() - 1)
+        check_passes(plain.scaled(r.denominator), r.numerator, 0)
+        twice = scaled.scaled(r.denominator)
+        assert twice == realroots._Coeffs(c, q * r.denominator) and twice.q == q * r.denominator
+        for k in (-1, 0, 1):
+            check_passes(twice, r.numerator * q + k, 0)
+        # a few ulps off it, on the plain grid 2^-60 and on y / q
+        num, den = float(r).as_integer_ratio()
+        for k in range(-3, 4):
+            check_passes(plain, (num << 60) // den + k, 60)
+            check_passes(scaled, math.floor(r * (q << e)) + k, e)
+    # far out, x = n on both sides
+    for n in (2**600 + 1, 3 - 2**640):
+        check_passes(plain, n, 0)
+        check_passes(plain, n << e, e)
+        check_passes(scaled, n * q << e, e)
+
+
+def test_float_pass_decides_far_from_the_roots():
+    # away from its roots a product of linear factors is well conditioned,
+    # and scaled coefficients beyond 2^1024 are screened on the unscaled ones
+    c = linear_product([Fraction(1, 3), Fraction(-2), Fraction(5, 7)])
+    for cc in (realroots._Coeffs(c), realroots._Coeffs(c).scaled(3**700)):
+        for n, e in ((7, 0), (-7, 1), (1, 30), (2**900, 0)):
+            n = n * cc.q
+            assert realroots._float_sign(cc, n, cc.q << e) == realroots._exact_sign(list(cc), n, e)
+    assert max(map(abs, realroots._Coeffs(c).scaled(3**700))) > 2**1024
+
+
+def test_huge_coefficients_leave_the_float_pass_open():
+    # a coefficient above 2^1024 has no float, and a sum that overflows
+    # is inf: neither may decide a sign
+    for c in ([2**1100, -3, 1], [1, -3, 2**1030]):
+        cc = realroots._Coeffs(c)
+        assert cc.floats is None
+        for n, e in ((0, 0), (1, 0), (-1, 0), (5, 2), (-(2**700), 0)):
+            assert realroots._float_sign(cc, n, 1 << e) is None
+            assert realroots._sign_at(cc, n, e) == realroots._exact_sign(c, n, e)
+    cc = realroots._Coeffs([-(2**1023)] * 3)
+    assert realroots._float_sign(cc, 1, 1) is None
+    assert realroots._float_sign(cc, 7, 8) is None
+
+
+def exact_calls(monkeypatch):
+    calls = []
+    exact = realroots._exact_sign
+    monkeypatch.setattr(realroots, "_exact_sign", lambda *a: calls.append(a) or exact(*a))
+    return calls
+
+
+def test_a_sign_at_a_root_reaches_the_exact_pass(monkeypatch):
+    calls = exact_calls(monkeypatch)
+    cc = realroots._Coeffs(linear_product([Fraction(-3, 4), Fraction(5, 3), Fraction(7)]))
+    assert realroots._sign_at(cc, -3, 2) == 0
+    assert realroots._sign_at(cc.scaled(3), 5, 0) == 0
+    assert len(calls) == 2
+
+
+# SHA-256 of isolate_real_roots for A/B/C 1..30 and D 3..30, and of
+# refine_bracket on each D bracket, at the widths below; recorded with
+# exact Horner signs only.  Faster signs or a changed picker must give
+# the same bytes.
+ISOLATION_DIGEST = "3c6064937ae6490daff5fddb4e5098f1565fc16e93242adc8c3794e6e49fa112"
+
+
+def test_isolation_bytes_match_the_exact_sign_digest():
+    lines = []
+    for tag in "ABCD":
+        for n in range(3 if tag == "D" else 1, 31):
+            h = h_of(tag, n)
+            for w in (Fraction(1, 1024), Fraction(1, 7), Fraction(3), Fraction(1, 10**6)):
+                ivs = list(isolate_real_roots(h, w))
+                if tag == "D":
+                    ivs += [refine_bracket(b, h, w) for b in d_type_brackets(n)]
+                lines.append(f"{tag}{n} {w}: " + " ".join(f"[{iv.lo}, {iv.hi}]" for iv in ivs))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ISOLATION_DIGEST
+
+
+def test_b97_to_b120_are_picked_at_a_millionth(monkeypatch):
+    # the largest root's guess takes an exact Newton step, so no rank
+    # falls back to bisection on root counts
+    calls = []
+    bisect = realroots._bisect_cells
+    monkeypatch.setattr(realroots, "_bisect_cells", lambda *a: calls.append(a) or bisect(*a))
+    for n in range(97, 121):
+        isolate_real_roots(h_of("B", n), Fraction(1, 10**6))
+    assert calls == []
