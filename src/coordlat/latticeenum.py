@@ -265,10 +265,12 @@ def enumerate_lengths(
     backend is kept only for compatibility with older callers: "auto"
     and "python" both run this kernel, anything else is a ValueError.
     Raises MemoryBudgetExceeded when the keys of the two kept levels
-    outgrow the budget before K.
+    outgrow the budget before K, and ValueError for a negative budget.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
+    if memory_budget_mib is not None and memory_budget_mib < 0:
+        raise ValueError(f"memory budget must be >= 0 MiB, got {memory_budget_mib}")
     if backend not in ("auto", "python"):
         raise ValueError(
             f"unknown backend {backend!r}; 'auto' and 'python' both run the one census kernel"

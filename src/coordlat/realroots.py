@@ -177,41 +177,30 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _scaled(c: list[int], q: int) -> list[int]:
-    """Coefficients of q^d c(y / q): the roots of c times q, the signs kept."""
-    out = list(c)
-    qk = 1
-    for k in range(len(c) - 2, -1, -1):
-        qk *= q
-        out[k] *= qk
-    return out
-
-
 class _Coeffs(list):
     """Integer coefficients of q^d f(y / q), lowest degree first, with f's floats.
 
-    Made once per polynomial for the float pass of _sign_at: floats holds
-    f's coefficients as (float, abs) pairs, lowest degree first, or None
-    when one overflows a float.
+    The grid point y stands for x = y / q, and f's roots times q are the
+    roots of the integers.  The float pass of _sign_at reads f itself at
+    y / q: floats holds f's coefficients as (float, abs) pairs, lowest
+    degree first, or None when one overflows a float.  Both halves come
+    from (f, q) alone, so the two passes sign the same polynomial.
     """
 
     __slots__ = ("q", "floats")
 
-    def __init__(self, f: list[int], q: int = 1, floats=None):
-        super().__init__(_scaled(f, q) if q > 1 else f)
+    def __init__(self, f: list[int], q: int = 1):
+        super().__init__(f)
+        if q > 1:
+            qk = 1
+            for k in range(len(f) - 2, -1, -1):
+                qk *= q
+                self[k] *= qk
         self.q = q
-        if floats is None:
-            try:
-                floats = [(a, abs(a)) for a in map(float, f)]
-            except OverflowError:
-                pass
-        self.floats = floats
-
-    def scaled(self, q: int) -> _Coeffs:
-        """The integers scaled once more, by q; the floats are still f's."""
-        out = _Coeffs(self, q, self.floats)
-        out.q *= self.q
-        return out
+        try:
+            self.floats = [(a, abs(a)) for a in map(float, f)]
+        except OverflowError:
+            self.floats = None
 
 
 _TINY = 2.0**-1022  # the least normal float
@@ -288,7 +277,7 @@ def _rational_sign(c: _Coeffs, r: Fraction) -> int:
     q = r.denominator
     if q & (q - 1) == 0:
         return _sign_at(c, r.numerator, q.bit_length() - 1)
-    return _sign_at(c.scaled(q), r.numerator)
+    return _sign_at(_Coeffs(c, q), r.numerator)
 
 
 def _variations(signs: list[int]) -> int:
@@ -570,7 +559,7 @@ def _exact_newton(c: list[int], x: float) -> float:
     """
     num, den = x.as_integer_ratio()
     v = w = 0
-    for a in reversed(_scaled(c, den)):
+    for a in reversed(_Coeffs(c, den)):
         w = w * num + v
         v = v * num + a
     return (num * w - v) / (w * den) if w else x
@@ -720,13 +709,26 @@ def _counter(p: Polynomial) -> tuple[_Coeffs, _SturmCounter | _LadderCounter, _G
     return c, _SturmCounter([_Coeffs(f) for f in _int_prs(c, _int_derivative(c))]), guesses
 
 
+def _on_grid(c: list[int], iv: Interval) -> tuple[_Coeffs, int, int, int, int]:
+    """(c on the grid 1 / q, iv's ends as grid points, c's exact signs there).
+
+    q is the common denominator of iv's ends, so they are the integers
+    lo = iv.lo q and hi = iv.hi q, and c(iv.lo) has the sign of the
+    grid polynomial q^d c(y / q) at lo.
+    """
+    q = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    g = _Coeffs(c, q)
+    lo, hi = int(iv.lo * q), int(iv.hi * q)
+    return g, lo, hi, _sign_at(g, lo), _sign_at(g, hi)
+
+
 def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     """Number of distinct real roots of p, on the whole line or in an interval.
 
     On an interval [a, b] the roots in (a, b] are N(a) - N(b), with N
     the number of roots above a point, even when a or b is a root; an
     exact check of p(a) = 0 adds the left endpoint.  Both are counted
-    as integers on q^d p(y / q), q their common denominator.
+    as integers on the grid of the interval (_on_grid).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -735,15 +737,12 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
     c, counter, _ = _counter(p)
     if interval is None:
         return counter.total
-    q = math.lcm(interval.lo.denominator, interval.hi.denominator)
+    c, lo, hi, s_lo, s_hi = _on_grid(c, interval)
     if isinstance(counter, _LadderCounter):
-        counter = _LadderCounter([r * q for r in counter.rungs])
+        counter = _LadderCounter([r * c.q for r in counter.rungs])
     else:
-        counter = _SturmCounter([f.scaled(q) for f in counter.chain])
-    c = c.scaled(q)
-    lo, hi = int(interval.lo * q), int(interval.hi * q)
-    s_lo = _sign_at(c, lo)
-    return counter.above(lo, 0, s_lo) - counter.above(hi, 0, _sign_at(c, hi)) + (s_lo == 0)
+        counter = _SturmCounter([_Coeffs(f, c.q) for f in counter.chain])
+    return counter.above(lo, 0, s_lo) - counter.above(hi, 0, s_hi) + (s_lo == 0)
 
 
 def is_real_rooted(p: Polynomial) -> RootReport:
@@ -806,22 +805,23 @@ def _bisect_sign(
 
 
 def _pick_cells(
-    c: _Coeffs, a: int, b: int, q: int, wn: int, wd: int,
+    c: _Coeffs, a: int, b: int, wn: int, wd: int,
     above: Callable[[int, int, int], int], guesses: list[float],
     memo: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> list[tuple[int, int, int]] | None:
     """The cells that bisecting (a, b) to width wn / wd ends in, read off root guesses.
 
     above(n, e, s) counts roots of c above n / 2^e, s the sign there;
-    memo may hold (s, above) at a and b, keys (0, 0) and (0, 1).  A
-    guess x is a root of c(y / q).  Depth t is the first whose grid
-    cells are no wider than wn / wd.  Each guess takes its depth-t cell
-    i (i -/+ 1 if i holds no root) and descends along x while its cell
-    holds two or more roots; the cell must end with one root and exact
-    nonzero end signs.  If the cells are distinct and hold every root,
-    no root is a grid point at its cell's depth or above, nor a deeper
-    midpoint, whose cell would hold a second root; so bisection never
-    nudges and ends in these cells.  None otherwise.
+    memo may hold (s, above) at a and b, keys (0, 0) and (0, 1).  Each
+    guess x is a root of c in grid units, as a, b and wn / wd are.
+    Depth t is the first whose grid cells are no wider than wn / wd.
+    Each guess takes its depth-t cell i (i -/+ 1 if i holds no root)
+    and descends along x while its cell holds two or more roots; the
+    cell must end with one root and exact nonzero end signs.  If the
+    cells are distinct and hold every root, no root is a grid point at
+    its cell's depth or above, nor a deeper midpoint, whose cell would
+    hold a second root; so bisection never nudges and ends in these
+    cells.  None otherwise.
     """
     t = 0
     while (b - a) * wd > wn << t:
@@ -847,7 +847,7 @@ def _pick_cells(
         if not math.isfinite(x):
             return None
         num, den = x.as_integer_ratio()
-        num, den = num * q - a * den, span * den  # x = a + span * num / den
+        num, den = num - a * den, span * den  # x = a + span * num / den
         i = (num << t) // den
         i = next((j for j in (i, i - 1, i + 1) if held(t, j)), None)
         if i is None:
@@ -909,7 +909,7 @@ def isolate_real_roots(
     c, counter, guesses = _counter(p)
     wn, wd = width.numerator, width.denominator
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
-    cells = _pick_cells(c, -bound, bound, 1, wn, wd, counter.above, guesses())
+    cells = _pick_cells(c, -bound, bound, wn, wd, counter.above, guesses())
     if cells is None:
         cells = _bisect_cells(c, -bound, bound, wn, wd, counter)
     found = [Interval(Fraction(a, 1 << e), Fraction(b, 1 << e)) for a, b, e in cells]
@@ -987,11 +987,8 @@ def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, .
     )
 
 
-def _one_root_window(b: TrigBracket | Interval, c: list[int]) -> bool:
-    """b is window j of the ladder of c, the type D closed form of degree n: one simple root."""
-    n = len(c) - 1
-    if not isinstance(b, TrigBracket) or n < 3 or tuple(c) != _closed_form("D", n):
-        return False
+def _one_root_window(b: TrigBracket, n: int) -> bool:
+    """b is window j of _d_ladder(n), so it holds one simple root of the type D closed form."""
     try:
         ladder = _d_ladder(n)
     except BracketingError:
@@ -1003,30 +1000,29 @@ def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) ->
     """Shrink a sign-change bracket to the requested width by bisection.
 
     The exact signs of p at the ends must differ; a bracket already
-    narrow enough is returned unchanged.  Scaled by the common
-    denominator q of its ends, it is bisected as an integer bracket of
-    q^d p(y / q), with the midpoints of the rationals.  A bracket of
-    d_type_brackets(n) for its own p holds one root, and _pick_cells
-    reads the final cell off Newton on the window function.
+    narrow enough is returned unchanged.  On the grid of its ends
+    (_on_grid), it is bisected as an integer bracket of q^d p(y / q),
+    with the midpoints of the rationals.  A bracket of d_type_brackets(n)
+    for its own p holds one root, and _pick_cells reads the final cell
+    off Newton on the window function.
     """
     iv = b.x_interval if isinstance(b, TrigBracket) else b
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    cf = _closed_form("D", p.degree) if isinstance(b, TrigBracket) and p.degree >= 3 else None
-    c = list(cf if p.coeffs == cf else primitive_integer_coeffs(p))
-    q = math.lcm(iv.lo.denominator, iv.hi.denominator)
-    scaled = _Coeffs(c, q)
-    lo, hi = int(iv.lo * q), int(iv.hi * q)
-    s_lo, s_hi = _sign_at(scaled, lo), _sign_at(scaled, hi)
+    n = p.degree
+    cf = _closed_form("D", n) if isinstance(b, TrigBracket) and n >= 3 else None
+    c = cf if p.coeffs == cf else primitive_integer_coeffs(p)
+    scaled, lo, hi, s_lo, s_hi = _on_grid(c, iv)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("endpoint signs must be nonzero and opposite")
+    q = scaled.q
     wn, wd = width.numerator * q, width.denominator
     cells = None
-    if _one_root_window(b, c):
+    if c == cf and _one_root_window(b, n):
         # one root: it lies above a point exactly when c there has the sign at lo
-        guess = [_d_root(len(c) - 1, b.phi_lo, b.phi_hi)]
+        guess = [_d_root(n, b.phi_lo, b.phi_hi) * q]
         ends = {(0, 0): (s_lo, 1), (0, 1): (s_hi, 0)}
-        cells = _pick_cells(scaled, lo, hi, q, wn, wd, lambda m, e, s: s == s_lo, guess, ends)
+        cells = _pick_cells(scaled, lo, hi, wn, wd, lambda m, e, s: s == s_lo, guess, ends)
     x, y, e = cells[0] if cells else _bisect_sign(scaled, lo, hi, 0, s_lo, wn, wd)
     return Interval(Fraction(x, q << e), Fraction(y, q << e))

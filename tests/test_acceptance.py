@@ -27,6 +27,7 @@ from coordlat.realroots import (
     count_real_roots,
     d_type_brackets,
     is_real_rooted,
+    sturm_chain,
     trig_values,
 )
 from coordlat.seqanalysis import check_log_concave, pf_minor_check
@@ -36,6 +37,17 @@ FAMILY_START = {"A": 1, "B": 1, "C": 1, "D": 2}
 
 def h_of(tag, n):
     return coordinator(LatticeType(tag, n)).poly
+
+
+def sturm_count(p):
+    """Distinct real roots of p: sign variations of sturm_chain(p) at -inf less those at +inf."""
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    chain = sturm_chain(p).chain
+    top = [f.coeffs[-1] > 0 for f in chain]
+    bottom = [(f.coeffs[-1] > 0) == (f.degree % 2 == 0) for f in chain]
+    return variations(bottom) - variations(top)
 
 
 def test_criterion_01_degree_sixteen_regression(criterion_log):
@@ -98,8 +110,8 @@ def test_criterion_04_bracket_ladder_and_node_margins(criterion_log):
             b.x_interval.hi <= a.x_interval.lo for a, b in zip(brs, brs[1:])
         )
         negative = all(b.x_interval.hi < 0 for b in brs)
-        sturm = count_real_roots(h)
-        if not (len(brs) == n == sturm and disjoint and negative):
+        sturm = sturm_count(h)
+        if not (len(brs) == n == sturm == count_real_roots(h) and disjoint and negative):
             structural_bad.append(n)
         for j in range(n + 1):
             value, _ = trig_values(n, j * math.pi / n)

@@ -329,6 +329,12 @@ def test_memory_budget_exit(capsys):
     assert "memory budget exceeded" in err
 
 
+def test_negative_memory_budget_exit(capsys):
+    code, out, err = run(capsys, "enumerate", "--type", "A", "--n", "2", "--K", "3", "--memory-budget", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: memory budget must be >= 0 MiB, got -5\n"
+
+
 def test_console_script_subprocess():
     # the child does not see pytest's pythonpath setting, so hand it src
     src = str(Path(__file__).resolve().parents[1] / "src")

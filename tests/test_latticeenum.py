@@ -462,6 +462,15 @@ def test_memory_budget_partial_result():
     assert enumerate_lengths(spec, 6, memory_budget_mib=64).counts == enumerate_lengths(spec, 6).counts
 
 
+def test_negative_memory_budget_is_rejected():
+    # a budget below 0 is an input error, not a walk stopped after level 1
+    spec = lattice_spec(lt("A", 2))
+    with pytest.raises(ValueError) as exc:
+        enumerate_lengths(spec, 3, memory_budget_mib=-5)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "memory budget must be >= 0 MiB, got -5"
+
+
 def test_recovery_round_trip():
     for tag, n in [("A", 2), ("B", 2), ("C", 3), ("D", 3)]:
         t = lt(tag, n)

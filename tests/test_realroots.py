@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -189,12 +190,14 @@ def test_bracket_ladder_rank_three():
 
 
 def test_bracket_count_matches_sturm_count():
+    # count_real_roots reads a D closed form off its ladder, so the
+    # Sturm counts come from sturm_chain itself
     for n in (3, 4, 5, 8, 13):
         brs = d_type_brackets(n)
         h = h_of("D", n)
-        assert len(brs) == n == count_real_roots(h)
+        assert len(brs) == n == RefSturm(h).total == count_real_roots(h)
         for b in brs:
-            assert count_real_roots(h, b.x_interval) == 1
+            assert sturm_only_count(h, b.x_interval) == 1 == count_real_roots(h, b.x_interval)
 
 
 def test_bracket_refinement():
@@ -593,6 +596,46 @@ def dyadic(factor):
     return Fraction(b, 2**a)
 
 
+# count_real_roots on rational intervals: the closed forms count on
+# their ladders, rescaled to the interval's grid, and the products, no
+# closed form, on Sturm chains; sturm_only_count shares neither
+PRODUCTS = {
+    "A3 C2": lambda: h_of("A", 3) * h_of("C", 2),
+    "D4 (1+x)^2": lambda: h_of("D", 4) * poly([1, 1]) ** 2,
+    "1+3x+x^2+x^3": lambda: poly([1, 3, 1, 1]),
+    "(x^2-2)(1-3x)(7x-5)": lambda: poly([-2, 0, 1]) * poly([1, -3]) * poly([-5, 7]),
+}
+COUNTED = [(tag, n) for tag in "ABCD" for n in range(3 if tag == "D" else 1, 13)] + list(PRODUCTS)
+NEAR = [Fraction(0), Fraction(1, 3), Fraction(-1, 5), Fraction(1, 1000003),
+        Fraction(-1, 2**33 + 1), Fraction(1, 2**45)]
+
+
+@lru_cache(maxsize=None)
+def counted(name):
+    """(p, interval ends): ladder rungs, isolating-interval ends and midpoints, -1 and 0."""
+    if name in PRODUCTS:
+        p, rungs = PRODUCTS[name](), []
+    else:
+        p = h_of(*name)
+        rungs = list(ladder_of(list(primitive_integer_coeffs(p))))
+        rungs += realroots._d_ladder(name[1]) if name[0] == "D" else []
+    ends = set(rungs) | {Fraction(-1), Fraction(0)}
+    for iv in isolate_real_roots(p, Fraction(1, 7)):
+        ends |= {iv.lo, iv.hi, (iv.lo + iv.hi) / 2}
+    return p, sorted(ends)
+
+
+@given(st.sampled_from(COUNTED), st.integers(0, 10**6), st.integers(0, 10**6),
+       st.sampled_from(NEAR), st.sampled_from(NEAR))
+@settings(max_examples=400, deadline=None)
+def test_counts_on_rational_intervals_match_sturm(name, i, j, di, dj):
+    p, ends = counted(name)
+    a, b = ends[i % len(ends)] + di, ends[j % len(ends)] + dj
+    if a != b:
+        iv = Interval(min(a, b), max(a, b))
+        assert count_real_roots(p, iv) == sturm_only_count(p, iv), (name, iv)
+
+
 def test_nudge_steps_off_three_grid_roots():
     # 4x^3 - x has roots 0 and -1/2, 1/2 on the grid of [-2, 2]: the
     # midpoint 0 and both nudges at -/+ 4/8 are roots, so the split is -4/16
@@ -668,25 +711,26 @@ def wrong_guesses(monkeypatch, wrong, roots):
     moved: every guess lies 3 widths above itself, past its cell and the
     next; dropped and duplicated: the first guess is left out or given
     twice; next_cell: every guess lies one grid cell above itself.
+    Guesses are in the grid units of c, the roots times c.q.
     """
     pick = realroots._pick_cells
 
-    def wrong_pick(c, a, b, q, wn, wd, above, guesses, *memo):
+    def wrong_pick(c, a, b, wn, wd, above, guesses, *memo):
         g = list(guesses)
         if wrong == "neighbour":
-            g[0] = sorted(roots, key=lambda r: abs(r - g[0]))[1]
+            g[0] = sorted(roots, key=lambda r: abs(r * c.q - g[0]))[1] * c.q
         elif wrong == "moved":
-            g = [x + 3 * wn / (wd * q) for x in g]
+            g = [x + 3 * wn / wd for x in g]
         elif wrong == "dropped":
             g = g[1:]
         elif wrong == "next_cell":
             t = 0
             while (b - a) * wd > wn << t:
                 t += 1
-            g = [x + (b - a) / (q << t) for x in g]
+            g = [x + (b - a) / (1 << t) for x in g]
         else:
             g = g + g[:1]
-        return pick(c, a, b, q, wn, wd, above, g, *memo)
+        return pick(c, a, b, wn, wd, above, g, *memo)
 
     monkeypatch.setattr(realroots, "_pick_cells", wrong_pick)
     bisected = []
@@ -804,7 +848,7 @@ def test_exact_guesses_pick_the_bisection_cells(factors, width):
     counter = realroots._SturmCounter(chain)
     guesses = [float(dyadic(f)) for f in factors]
     wn, wd = width.numerator, width.denominator
-    cells = realroots._pick_cells(c, -bound, bound, 1, wn, wd, counter.above, guesses)
+    cells = realroots._pick_cells(c, -bound, bound, wn, wd, counter.above, guesses)
     want = sturm_only_intervals(p, width)
     assert (cells is not None) == all(is_grid_cell(iv, -bound, 2 * bound) for iv in want)
     if cells is not None:
@@ -922,16 +966,17 @@ ROOT = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
 def test_cheap_passes_never_give_a_wrong_sign(roots, q, e):
     c = linear_product(roots)
     plain = realroots._Coeffs(c)
-    scaled = plain.scaled(q)
+    scaled = realroots._Coeffs(c, q)
     for r in roots:
         # at the root: dyadic roots on the plain polynomial, every root
-        # on the one scaled by its denominator, and on the one scaled by
-        # q first and then by the denominator (with a step either side)
+        # on the one scaled by its denominator, and on a grid of the
+        # denominator over integers already scaled by q, whose floats
+        # are those integers (with a step either side)
         if r.denominator & (r.denominator - 1) == 0:
             check_passes(plain, r.numerator, r.denominator.bit_length() - 1)
-        check_passes(plain.scaled(r.denominator), r.numerator, 0)
-        twice = scaled.scaled(r.denominator)
-        assert twice == realroots._Coeffs(c, q * r.denominator) and twice.q == q * r.denominator
+        check_passes(realroots._Coeffs(c, r.denominator), r.numerator, 0)
+        twice = realroots._Coeffs(scaled, r.denominator)
+        assert twice == realroots._Coeffs(c, q * r.denominator)
         for k in (-1, 0, 1):
             check_passes(twice, r.numerator * q + k, 0)
         # a few ulps off it, on the plain grid 2^-60 and on y / q
@@ -950,11 +995,11 @@ def test_float_pass_decides_far_from_the_roots():
     # away from its roots a product of linear factors is well conditioned,
     # and scaled coefficients beyond 2^1024 are screened on the unscaled ones
     c = linear_product([Fraction(1, 3), Fraction(-2), Fraction(5, 7)])
-    for cc in (realroots._Coeffs(c), realroots._Coeffs(c).scaled(3**700)):
+    for cc in (realroots._Coeffs(c), realroots._Coeffs(c, 3**700)):
         for n, e in ((7, 0), (-7, 1), (1, 30), (2**900, 0)):
             n = n * cc.q
             assert realroots._float_sign(cc, n, cc.q << e) == realroots._exact_sign(list(cc), n, e)
-    assert max(map(abs, realroots._Coeffs(c).scaled(3**700))) > 2**1024
+    assert max(map(abs, realroots._Coeffs(c, 3**700))) > 2**1024
 
 
 def test_huge_coefficients_leave_the_float_pass_open():
@@ -980,9 +1025,9 @@ def exact_calls(monkeypatch):
 
 def test_a_sign_at_a_root_reaches_the_exact_pass(monkeypatch):
     calls = exact_calls(monkeypatch)
-    cc = realroots._Coeffs(linear_product([Fraction(-3, 4), Fraction(5, 3), Fraction(7)]))
-    assert realroots._sign_at(cc, -3, 2) == 0
-    assert realroots._sign_at(cc.scaled(3), 5, 0) == 0
+    c = linear_product([Fraction(-3, 4), Fraction(5, 3), Fraction(7)])
+    assert realroots._sign_at(realroots._Coeffs(c), -3, 2) == 0
+    assert realroots._sign_at(realroots._Coeffs(c, 3), 5, 0) == 0
     assert len(calls) == 2
 
 
