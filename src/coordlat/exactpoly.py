@@ -184,6 +184,8 @@ def _clear_denominators(values: Iterable) -> tuple[list[int], int]:
     """
     vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
     L = math.lcm(*(v.denominator for v in vals))
+    if L == 1:
+        return [v.numerator for v in vals], 1
     return [v.numerator * (L // v.denominator) for v in vals], L
 
 
@@ -299,24 +301,69 @@ def _gf_rem(a: list[int], b: list[int], q: int) -> list[int]:
     return r
 
 
-def _squarefree_mod_prime(c: list[int], q: int = _SQF_PRIME) -> bool:
-    """True when gcd(c mod q, c' mod q) = 1, which proves c squarefree over Q.
-
-    A common factor g of c and c' over Q can be taken primitive in
-    Z[x]; by Gauss's lemma it divides both in Z[x], and its leading
-    coefficient divides c's, which q does not divide, so g mod q keeps
-    its degree and divides both residues.  False means undecided: q
-    divides the leading coefficient, or the residues share a factor.
-    """
-    if c[-1] % q == 0:
-        return False
-    a = [v % q for v in c]
-    b = [v % q for v in _int_derivative(c)]
+def _gf_squarefree(a: list[int], q: int) -> bool:
+    """gcd(a, a') = 1 over GF(q), for residues a with a nonzero leading one."""
+    b = [k * a[k] % q for k in range(1, len(a))]
     while b and b[-1] == 0:
         b.pop()
     while b:
         a, b = b, _gf_rem(a, b, q)
     return len(a) == 1
+
+
+def _palindrome_half(a: list[int], q: int) -> list[int]:
+    """g over GF(q) with a(x) = x^m g(x + 1/x), for a palindrome a of degree 2m.
+
+    x^k + x^-k = V_k(x + 1/x), with V_0 = 2, V_1 = y and V_(k+1) =
+    y V_k - V_(k-1), so g = a_m + sum_(k=1..m) a_(m+k) V_k.  Clenshaw's
+    recurrence sums it: b_k = a_(m+k) + y b_(k+1) - b_(k+2) from k = m
+    down to 1, and then g = a_m + y b_1 - 2 b_2.
+    """
+    m = len(a) // 2
+    b1: list[int] = []
+    b2: list[int] = []
+    for k in range(m, 0, -1):
+        b1, b2 = [(x - y) % q for x, y in zip([a[m + k], *b1], [*b2, 0, 0])], b1
+    return [(x - 2 * y) % q for x, y in zip([a[m], *b1], [*b2, 0, 0])]
+
+
+def _squarefree_mod_prime(c: list[int], q: int = _SQF_PRIME) -> bool:
+    """True when a coprimality test modulo q proves c squarefree over Q.
+
+    The test is gcd(c mod q, c' mod q) = 1.  A common factor g of c and
+    c' over Q can be taken primitive in Z[x]; by Gauss's lemma it
+    divides both in Z[x], and its leading coefficient divides c's, which
+    q does not divide, so g mod q keeps its degree and divides both
+    residues.  False means undecided: q divides the leading coefficient,
+    or the residues share a factor.
+
+    A palindrome, c_k = c_(d-k), is tested on half its degree.  Of even
+    degree 2m it is c(x) = x^m G(x + 1/x), G integral with c's leading
+    coefficient (_palindrome_half builds G mod q).  Over C, G = lc
+    prod (y - y_i) gives c = lc prod (x^2 - y_i x + 1).  The root pair
+    x, 1/x of x^2 - y x + 1 is double only at y = +-2, and two factors
+    with y_i != y_j share no root, as a root x fixes y = x + 1/x.  So c
+    is squarefree exactly when G is and G(2) G(-2) != 0.  The first is
+    proven by the test above on G, the second by c(1) c(-1) != 0 mod q,
+    as G(2) = c(1) and G(-2) = (-1)^m c(-1).  Of odd degree, c(-1) =
+    -c(-1) = 0, so c = (x + 1) c1 with c1 a palindrome of even degree,
+    and c is squarefree exactly when c1 is: c1(-1) = 0 would put y + 2
+    in c1's G and (x + 1)^2 in c1.
+    """
+    if c[-1] % q == 0:
+        return False
+    a = [v % q for v in c]
+    if c != c[::-1]:
+        return _gf_squarefree(a, q)
+    if len(a) % 2 == 0:
+        # synthetic division by x + 1, from the top
+        c1 = [a[-1]]
+        for v in reversed(a[1:-1]):
+            c1.append((v - c1[-1]) % q)
+        a = c1[::-1]
+    if sum(a) % q == 0 or (sum(a[::2]) - sum(a[1::2])) % q == 0:
+        return False
+    return _gf_squarefree(_palindrome_half(a, q), q)
 
 
 def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...]:

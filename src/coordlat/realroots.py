@@ -320,17 +320,26 @@ def _ladder(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[Fr
     to the grid 2^-32, or with dyadic=False to denominators at most
     2^32), and -(1 + max|c_k|), below every root when the leading
     coefficient is 1.  Raises BracketingError unless sign(c(rung j)) is
-    exactly (-1)^j and the rungs decrease.
+    exactly (-1)^j and the rungs decrease.  A dyadic ladder is checked
+    on integers alone: each rung is signed at its point (numerator,
+    exponent) by _sign_at, and the rungs decrease as numerators on the
+    grid 2^-40; only the returned rungs are Fractions.
     """
+    top = -(1 + max(abs(v) for v in c))
     if dyadic:
-        rungs = [Fraction(round(t * 2**32), 2**32) for t in separators]
+        points = [(-1, 40), *((round(t * 2**32), 32) for t in separators), (top, 0)]
+        rungs = [Fraction(n, 1 << e) for n, e in points]
+        signs = (_sign_at(c, n, e) for n, e in points)
+        order = [n << (40 - e) for n, e in points]
     else:
         rungs = [Fraction(t).limit_denominator(2**32) for t in separators]
-    rungs = [Fraction(-1, 2**40), *rungs, Fraction(-(1 + max(abs(v) for v in c)))]
-    for j, r in enumerate(rungs):
-        if _rational_sign(c, r) != (-1) ** j:
-            raise BracketingError(j, float(r), (-1.0) ** j, "exact sign verification failed")
-    if any(a <= b for a, b in zip(rungs, rungs[1:])):
+        rungs = [Fraction(-1, 2**40), *rungs, Fraction(top)]
+        signs = (_rational_sign(c, r) for r in rungs)
+        order = rungs
+    for j, s in enumerate(signs):
+        if s != (-1) ** j:
+            raise BracketingError(j, float(rungs[j]), (-1.0) ** j, "exact sign verification failed")
+    if any(a <= b for a, b in zip(order, order[1:])):
         raise BracketingError(0, 0.0, 0.0, "ladder lost strict monotonicity")
     return rungs
 
@@ -662,8 +671,8 @@ class _SturmCounter:
         self.total = _var_at_infinity(chain, False) - self._v_top
 
     def above(self, n: int, e: int, s: int) -> int:
-        """Roots greater than n / 2^e; s, the sign of c there, is not needed."""
-        return _variations([_sign_at(f, n, e) for f in self.chain]) - self._v_top
+        """Roots greater than n / 2^e; s must be the exact sign there of chain[0], c itself."""
+        return _variations([s, *(_sign_at(f, n, e) for f in self.chain[1:])]) - self._v_top
 
 
 class _LadderCounter:

@@ -351,6 +351,58 @@ def test_squarefree_but_not_modulo_the_prime_goes_through_yun(monkeypatch):
     assert len(calls) == 2
 
 
+# palindromes: products of x^2 - y x + 1, whose roots pair x with 1/x
+# ((x -/+ 1)^2 at y = +-2), and of x + 1, each factor maybe squared
+palindromes = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-6, 6).map(lambda y: poly([1, -y, 1])), st.just(poly([1, 1]))),
+        st.integers(1, 2),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda fs: math.prod((f**k for f, k in fs), start=ONE))
+
+
+@given(palindromes, st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+@example(poly([1, 2, 1]), 1)  # (x + 1)^2: g = y + 2 vanishes at -2
+@example(poly([1, -2, 1]) * poly([1, 1]), 1)  # odd degree, (x - 1)^2 in c1
+@example(poly([1, 1]) ** 3, 1)  # odd degree, (x + 1)^2 in c1
+def test_palindromes_are_tested_on_half_their_degree(p, scale):
+    c = _positive_primitive(p.scale(scale))
+    assert c == c[::-1]
+    assert squarefree_decomposition(p.scale(scale)) == exactpoly._yun(c)
+    # x^m g(x + 1/x) expands back to c, or to c / (x + 1) at odd degree
+    if len(c) % 2 == 0:
+        c = exactpoly._int_exact_div(c, [1, 1])
+    q = exactpoly._SQF_PRIME
+    g = exactpoly._palindrome_half([v % q for v in c], q)
+    m = len(g) - 1
+    back = [0] * (2 * m + 1)
+    for j, gj in enumerate(g):
+        for i in range(j + 1):  # x^m (x + 1/x)^j
+            back[m + j - 2 * i] += gj * binom(j, i)
+    assert [v % q for v in back] == [v % q for v in c]
+
+
+def test_closed_forms_of_a_c_d_skip_the_full_degree_euclid(monkeypatch):
+    # h_A, h_C and h_D are palindromes, h_B is not: only B runs Euclid
+    # on c and c' at full degree
+    degrees = []
+    euclid = exactpoly._gf_squarefree
+    monkeypatch.setattr(
+        exactpoly, "_gf_squarefree", lambda a, q: degrees.append(len(a) - 1) or euclid(a, q)
+    )
+    monkeypatch.setattr(exactpoly, "_yun", None)
+    for tag in "ABCD":
+        # B1 = A1 and B2 = C2 are palindromes; D2 = (1 + x)^2 takes Yun
+        for n in range(1 if tag in "AC" else 3, 61):
+            h = coordinator(LatticeType(tag, n)).poly
+            degrees.clear()
+            assert squarefree_decomposition(h) == ((h, 1),)
+            assert degrees == [n if tag == "B" else n // 2], f"{tag}{n}"
+
+
 def negate_prem(a, b):
     """Reference: lb r - lr x^s b per step, negated at the end after an odd count of lb < 0."""
     r = list(a)

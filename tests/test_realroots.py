@@ -394,6 +394,29 @@ def test_closed_forms_are_counted_without_a_squarefree_part(monkeypatch):
     assert calls == [prod]
 
 
+def test_dyadic_ladder_keeps_the_fraction_rungs():
+    # rungs signed and ordered as integers, returned as the Fractions
+    # -1/2^40, the separators on the grid 2^-32 and -(1 + max|c_k|)
+    for tag in "ABCD":
+        for n in range(3 if tag == "D" else 1, 31):
+            c = realroots._Coeffs(primitive_integer_coeffs(h_of(tag, n)))
+            seps = realroots._CERTIFICATES[tag](c)[0]
+            want = [Fraction(round(t * 2**32), 2**32) for t in seps]
+            want = [Fraction(-1, 2**40), *want, Fraction(-(1 + max(map(abs, c))))]
+            assert realroots._ladder(c, seps) == want, f"{tag}{n}"
+
+
+def test_ladder_rejects_a_wrong_sign_and_a_lost_order():
+    c = realroots._Coeffs([6, 11, 6, 1])  # (x + 1)(x + 2)(x + 3)
+    assert realroots._ladder(c, [-1.5, -2.5])[1:] == [Fraction(-3, 2), Fraction(-5, 2), -12]
+    with pytest.raises(BracketingError, match="exact sign verification failed") as err:
+        realroots._ladder(c, [-2.5, -1.5])
+    assert (err.value.j, err.value.value) == (1, -2.5)
+    # every rung has the sign its place asks for, but -1/2 is above -3/2
+    with pytest.raises(BracketingError, match="lost strict monotonicity"):
+        realroots._ladder(c, [-1.5, -0.5])
+
+
 def disc_holds(c, d):
     """d misses the real axis and, by Rouche, holds exactly one root of c."""
     return 1 << d.e < d.v and realroots._pellet(*realroots._shift_bounds(c, d.u, d.v, d.s), d.e)
@@ -817,6 +840,23 @@ def test_refining_a_d_bracket_signs_each_point_once(monkeypatch):
         assert len(points) == len(set(points)) == 4
 
 
+def test_sturm_counts_on_an_interval_sign_each_point_once(monkeypatch):
+    # _on_grid signs c at both ends, and the Sturm counter reads those
+    # signs for its first element, c itself on the same grid
+    p = poly([1, 3, 1, 1]) * poly([-2, 0, 1])
+    iv = Interval(Fraction(-5, 3), Fraction(7, 3))
+    points = []
+    sign_at = realroots._sign_at
+
+    def spy(c, m, e=0):
+        points.append((tuple(c), m, e))
+        return sign_at(c, m, e)
+
+    monkeypatch.setattr(realroots, "_sign_at", spy)
+    assert count_real_roots(p, iv) == sturm_only_count(p, iv) == 3
+    assert len(points) == len(set(points)) == 12
+
+
 def is_grid_cell(iv, a, span):
     """iv is a cell of the dyadic grid on [a, a + span]."""
     k = span / iv.width
@@ -1059,4 +1099,22 @@ def test_b97_to_b120_are_picked_at_a_millionth(monkeypatch):
     monkeypatch.setattr(realroots, "_bisect_cells", lambda *a: calls.append(a) or bisect(*a))
     for n in range(97, 121):
         isolate_real_roots(h_of("B", n), Fraction(1, 10**6))
+    assert calls == []
+
+
+# n - distinct_real of h_B on both sides of the ranks where it steps up by 2
+B_NON_REAL = {15: 0, 16: 2, 38: 2, 39: 4, 69: 4, 70: 6,
+              109: 6, 110: 8, 156: 8, 157: 10, 210: 10, 211: 12}
+
+
+def test_type_b_non_real_counts_step_at_their_thresholds(monkeypatch):
+    # every count comes from a ladder and Pellet discs that close: a
+    # Sturm chain, or Yun's integer gcds, would build a remainder sequence
+    calls = []
+    prs = exactpoly._int_prs
+    monkeypatch.setattr(realroots, "_int_prs", lambda *a: calls.append(a) or prs(*a))
+    monkeypatch.setattr(exactpoly, "_int_prs", lambda *a: calls.append(a) or prs(*a))
+    for n, non_real in B_NON_REAL.items():
+        rep = is_real_rooted(h_of("B", n))
+        assert (n - rep.distinct_real, rep.real_with_multiplicity) == (non_real, rep.distinct_real)
     assert calls == []
