@@ -19,8 +19,9 @@ on (0, pi/2).  Sign changes of g give the rungs; g is sampled densely
 only on the half-periods of cos((2n+1) theta) where the second term
 reaches 1/4, near pi/2 and theta = 1/sqrt(2n).  Complex Newton from the
 dips of |g| gives one guess per complex pair, proven by
-Pellet's test (Rouche) on a Gaussian-integer Taylor shift in a disc off
-the real axis.  Only when r + 2m is the degree does the ladder certify.
+Pellet's test (Rouche) in a disc off the real axis, on a few exact
+Gaussian-integer Taylor coefficients and an integer bound on the rest
+(_root_disc).  Only when r + 2m is the degree does the ladder certify.
 
 Every other polynomial is counted with a Sturm chain of its squarefree
 part: a primitive pseudo-remainder sequence, each element a positive
@@ -49,11 +50,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterator
 
 from .coordinator import _CLOSED_FORMS, MIN_RANK
 from .exactpoly import (
@@ -272,12 +274,12 @@ def _exact_sign(c: list[int], n: int, e: int) -> int:
     return _sign(acc)
 
 
-def _rational_sign(c: _Coeffs, r: Fraction) -> int:
-    """Exact sign of c at the rational r: by shifts when r is dyadic, else scaled."""
-    q = r.denominator
+def _rational_sign(c: _Coeffs, n: int, q: int) -> int:
+    """Exact sign of c at n / q, q > 0: by shifts when q is a power of 2, else floats, scaled."""
     if q & (q - 1) == 0:
-        return _sign_at(c, r.numerator, q.bit_length() - 1)
-    return _sign_at(_Coeffs(c, q), r.numerator)
+        return _sign_at(c, n, q.bit_length() - 1)
+    s = _float_sign(c, n, c.q * q)
+    return _exact_sign(_Coeffs(c, q), n, 0) if s is None else s
 
 
 def _variations(signs: list[int]) -> int:
@@ -313,35 +315,32 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 # ---------------------------------------------------------------------------
 
 
-def _ladder(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[Fraction]:
-    """Exact ladder for c, positive leading coefficient and c(0) > 0.
+def _rungs(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[tuple[int, int]]:
+    """Exact ladder for c, positive leading coefficient and c(0) > 0, as integer pairs.
 
     The rungs are -1/2^40, the n-1 float separators (decreasing, rounded
     to the grid 2^-32, or with dyadic=False to denominators at most
     2^32), and -(1 + max|c_k|), below every root when the leading
     coefficient is 1.  Raises BracketingError unless sign(c(rung j)) is
-    exactly (-1)^j and the rungs decrease.  A dyadic ladder is checked
-    on integers alone: each rung is signed at its point (numerator,
-    exponent) by _sign_at, and the rungs decrease as numerators on the
-    grid 2^-40; only the returned rungs are Fractions.
+    exactly (-1)^j and the rungs decrease, both checked on the rungs'
+    (numerator, denominator) pairs.
     """
-    top = -(1 + max(abs(v) for v in c))
     if dyadic:
-        points = [(-1, 40), *((round(t * 2**32), 32) for t in separators), (top, 0)]
-        rungs = [Fraction(n, 1 << e) for n, e in points]
-        signs = (_sign_at(c, n, e) for n, e in points)
-        order = [n << (40 - e) for n, e in points]
+        inner = [(round(t * 2**32), 1 << 32) for t in separators]
     else:
-        rungs = [Fraction(t).limit_denominator(2**32) for t in separators]
-        rungs = [Fraction(-1, 2**40), *rungs, Fraction(top)]
-        signs = (_rational_sign(c, r) for r in rungs)
-        order = rungs
-    for j, s in enumerate(signs):
-        if s != (-1) ** j:
-            raise BracketingError(j, float(rungs[j]), (-1.0) ** j, "exact sign verification failed")
-    if any(a <= b for a, b in zip(order, order[1:])):
+        inner = [Fraction(t).limit_denominator(2**32).as_integer_ratio() for t in separators]
+    pairs = [(-1, 1 << 40), *inner, (-(1 + max(abs(v) for v in c)), 1)]
+    for j, (p, q) in enumerate(pairs):
+        if _rational_sign(c, p, q) != (-1) ** j:
+            raise BracketingError(j, p / q, (-1.0) ** j, "exact sign verification failed")
+    if any(a * d <= b * q for (a, q), (b, d) in zip(pairs, pairs[1:])):
         raise BracketingError(0, 0.0, 0.0, "ladder lost strict monotonicity")
-    return rungs
+    return pairs
+
+
+def _ladder(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[Fraction]:
+    """The rungs of _rungs as Fractions, for the printed brackets."""
+    return [Fraction(p, q) for p, q in _rungs(c, separators, dyadic)]
 
 
 def _tan_separators(n: int) -> list[float]:
@@ -498,35 +497,6 @@ class _Disc:
     e: int
 
 
-def _ceil_sqrt(m: int) -> int:
-    r = math.isqrt(m)
-    return r if r * r == m else r + 1
-
-
-def _shift_bounds(c: list[int], u: int, v: int, s: int) -> tuple[int, list[int]]:
-    """floor |A_1| and ceil |A_j| for the Taylor coefficients A_j of P at u + iv.
-
-    P(y) = 2^(s n) c(y / 2^s) has integer coefficients, and P(u + iv + t)
-    = sum A_j t^j has Gaussian-integer ones, from n rounds of synthetic
-    division by t - (u + iv).
-    """
-    n = len(c) - 1
-    re = [ck << (s * (n - k)) for k, ck in enumerate(c)]
-    im = [0] * (n + 1)
-    for i in range(n):
-        ar, ai = re[n], im[n]
-        for j in range(n - 1, i - 1, -1):
-            ar, ai = re[j] + u * ar - v * ai, im[j] + u * ai + v * ar
-            re[j], im[j] = ar, ai
-    mod2 = [a * a + b * b for a, b in zip(re, im)]
-    return math.isqrt(mod2[1]), [_ceil_sqrt(m) for m in mod2]
-
-
-def _pellet(lo1: int, hi: list[int], e: int) -> bool:
-    """Pellet's test for one root in |t| < 2^e: |A_1| R > |A_0| + sum_{j>=2} |A_j| R^j."""
-    return lo1 << e > hi[0] + sum(hi[j] << (j * e) for j in range(2, len(hi)))
-
-
 def _disjoint(discs: list[_Disc]) -> bool:
     """No two discs meet; centers and radii compared exactly on a common grid."""
     for i, a in enumerate(discs):
@@ -540,6 +510,25 @@ def _disjoint(discs: list[_Disc]) -> bool:
     return True
 
 
+def _taylor_rounds(p: list[int], u: int, v: int, az: int) -> Iterator[tuple[int, int, int]]:
+    """(floor|A_j|, ceil|A_j|, M_j), j = 0..n, one synthetic-division round each, about n steps.
+
+    A_j are the Taylor coefficients of P(y) = sum p_k y^k at z = u + iv,
+    and M_j those of M(y) = sum |p_k| y^k at az.
+    """
+    n = len(p) - 1
+    re, im, mt = p[:], [0] * (n + 1), [abs(a) for a in p]
+    for i in range(n + 1):
+        ar, ai, am = re[n], im[n], mt[n]
+        for j in range(n - 1, i - 1, -1):
+            ar, ai = re[j] + u * ar - v * ai, im[j] + u * ai + v * ar
+            am = mt[j] + az * am
+            re[j], im[j], mt[j] = ar, ai, am
+        m = re[i] * re[i] + im[i] * im[i]
+        r = math.isqrt(m)
+        yield r, r + (r * r < m), mt[i]
+
+
 def _root_disc(c: list[int], x: complex, spacing: float) -> _Disc | None:
     """The smallest proven disc 2^(e-s) around the guess x, or None.
 
@@ -547,15 +536,33 @@ def _root_disc(c: list[int], x: complex, spacing: float) -> _Disc | None:
     other root.  The center is rounded to the grid 2^-s with 2^-s at
     most spacing / 16n, so a radius of a few grid steps stays well
     inside the spacing / 4n that Pellet's test tolerates.
+
+    Pellet's test for one root of P(y) = 2^(s n) c(y / 2^s) in
+    |y - z| < R = 2^e, z = u + iv, is floor|A_1| R > ceil|A_0| + S,
+    S = sum_(j>=2) ceil|A_j| R^j, A_j the Taylor coefficients of P at z.
+    Given A_j and M_j for j < J (_taylor_rounds), S lies between L, its
+    terms with j < J, and L + M(az + R) - sum_(j<J) M_j R^j, since the
+    integer M_j >= |A_j| as az > |z|.  A test either bound decides has
+    the full test's verdict; an open one takes one more round.  At
+    J = n + 1 the bounds meet, so the disc is the full Taylor shift's.
     """
     n = len(c) - 1
     s = max(0, math.ceil(math.log2(16 * n / spacing)))
     u, v = (round(Fraction(t) * 2**s) for t in (x.real, x.imag))
-    lo1, hi = _shift_bounds(c, u, v, s)
-    e = max(0, hi[0].bit_length() - lo1.bit_length() + 1)
+    p = [ck << (s * (n - k)) for k, ck in enumerate(c)]
+    az = math.isqrt(u * u + v * v) + 1
+    rounds = _taylor_rounds(p, u, v, az)
+    known = [next(rounds), next(rounds)]  # (floor|A_j|, ceil|A_j|, M_j) for j < J
+    hi0, lo1 = known[0][1], known[1][0]
+    e = max(0, hi0.bit_length() - lo1.bit_length() + 1)
     while 1 << e < v:
-        if _pellet(lo1, hi, e):
-            return _Disc(u, v, s, e)
+        lhs, top, m_top = lo1 << e, az + (1 << e), 0
+        while lhs > (low := hi0 + sum(h << (j * e) for j, (_, h, _) in enumerate(known) if j > 1)):
+            # M(az + R) by integer Horner, once per radius that gets this far
+            m_top = m_top or reduce(lambda acc, a: acc * top + abs(a), reversed(p), 0)
+            if lhs > low + m_top - sum(m << (j * e) for j, (_, _, m) in enumerate(known)):
+                return _Disc(u, v, s, e)
+            known.append(next(rounds))
         e += 1
     return None
 
@@ -637,7 +644,7 @@ def _closed_form(tag: str, n: int) -> tuple[int, ...]:
     return tuple(int(v) for v in _CLOSED_FORMS[tag](n).coeffs)
 
 
-def _certificate(c: _Coeffs) -> tuple[list[Fraction] | None, _Guesses]:
+def _certificate(c: _Coeffs) -> tuple[list[tuple[int, int]] | None, _Guesses]:
     """(ladder or None, float root guesses) of c; a ladder for a closed form whose count closes.
 
     The r + 1 rungs prove r distinct real roots and the m discs 2m
@@ -651,7 +658,7 @@ def _certificate(c: _Coeffs) -> tuple[list[Fraction] | None, _Guesses]:
             separators, discs, guesses = certificate(c)
             try:
                 closes = len(separators) + 1 + 2 * len(discs) == n
-                return (_ladder(c, separators) if closes else None), guesses
+                return (_rungs(c, separators) if closes else None), guesses
             except BracketingError:
                 return None, guesses
     return None, list
@@ -676,24 +683,16 @@ class _SturmCounter:
 
 
 class _LadderCounter:
-    """N(x) from a certified ladder: one binary search and the sign of c at x."""
+    """N(x) from certified rungs (numerator, denominator): a binary search and c's sign at x."""
 
-    def __init__(self, rungs: list[Fraction]):
+    def __init__(self, rungs: list[tuple[int, int]]):
         self.rungs = rungs
         self.total = len(rungs) - 1
-        self._pq = [(r.numerator, r.denominator) for r in rungs]
 
     def above(self, n: int, e: int, s: int) -> int:
         """Roots greater than n / 2^e; s must be the exact sign of c there."""
-        pq = self._pq
-        lo, hi = 0, len(pq)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p, q = pq[mid]
-            if p << e > n * q:
-                lo = mid + 1
-            else:
-                hi = mid
+        pq = self.rungs
+        lo = bisect_left(pq, True, key=lambda r: r[0] << e <= n * r[1])
         # rungs[:lo] lie above x, with one root between each adjacent pair
         if lo == 0 or lo == len(pq) or pq[lo][0] << e == n * pq[lo][1]:
             return min(lo, self.total)
@@ -748,7 +747,7 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
         return counter.total
     c, lo, hi, s_lo, s_hi = _on_grid(c, interval)
     if isinstance(counter, _LadderCounter):
-        counter = _LadderCounter([r * c.q for r in counter.rungs])
+        counter = _LadderCounter([(num * c.q, den) for num, den in counter.rungs])
     else:
         counter = _SturmCounter([_Coeffs(f, c.q) for f in counter.chain])
     return counter.above(lo, 0, s_lo) - counter.above(hi, 0, s_hi) + (s_lo == 0)

@@ -43,7 +43,7 @@ def b_coeffs(n):
 
 
 def ladder_of(c):
-    """The certified ladder of integer coefficients c, or None."""
+    """The certified ladder of integer coefficients c as (numerator, denominator) rungs, or None."""
     return realroots._certificate(realroots._Coeffs(c))[0]
 
 
@@ -350,13 +350,14 @@ def test_ladder_counter_matches_sturm_at_rungs_and_roots():
     c = list(primitive_integer_coeffs(h))
     ladder = realroots._LadderCounter(ladder_of(c))
     sturm = RefSturm(h)
-    points = list(ladder.rungs) + [Fraction(-10**6), Fraction(1), Fraction(0)]
-    points += [(a + b) / 2 for a, b in zip(ladder.rungs, ladder.rungs[1:])]
+    rungs = [Fraction(p, q) for p, q in ladder.rungs]
+    points = rungs + [Fraction(-10**6), Fraction(1), Fraction(0)]
+    points += [(a + b) / 2 for a, b in zip(rungs, rungs[1:])]
     points += [Fraction(round(x * 2**20), 2**20) for x in points]
     for x in points:
         s = ref_sign(c, x)
         n, q = x.numerator, x.denominator
-        scaled = realroots._LadderCounter([r * q for r in ladder.rungs])
+        scaled = realroots._LadderCounter([(p * q, d) for p, d in ladder.rungs])
         assert scaled.above(n, 0, s) == sturm.above(x)
         if q & (q - 1) == 0:
             assert ladder.above(n, q.bit_length() - 1, s) == sturm.above(x)
@@ -417,9 +418,53 @@ def test_ladder_rejects_a_wrong_sign_and_a_lost_order():
         realroots._ladder(c, [-1.5, -0.5])
 
 
+def _ceil_sqrt(m):
+    r = math.isqrt(m)
+    return r if r * r == m else r + 1
+
+
+def _shift_bounds(c, u, v, s):
+    """floor |A_1| and ceil |A_j| for the Taylor coefficients A_j of P at u + iv.
+
+    The full Taylor shift that realroots._root_disc truncates: P(y) =
+    2^(s n) c(y / 2^s) has integer coefficients, and P(u + iv + t) =
+    sum A_j t^j has Gaussian-integer ones, from n rounds of synthetic
+    division by t - (u + iv).
+    """
+    n = len(c) - 1
+    re = [ck << (s * (n - k)) for k, ck in enumerate(c)]
+    im = [0] * (n + 1)
+    for i in range(n):
+        ar, ai = re[n], im[n]
+        for j in range(n - 1, i - 1, -1):
+            ar, ai = re[j] + u * ar - v * ai, im[j] + u * ai + v * ar
+            re[j], im[j] = ar, ai
+    mod2 = [a * a + b * b for a, b in zip(re, im)]
+    return math.isqrt(mod2[1]), [_ceil_sqrt(m) for m in mod2]
+
+
+def _pellet(lo1, hi, e):
+    """Pellet's test for one root in |t| < 2^e: |A_1| R > |A_0| + sum_{j>=2} |A_j| R^j."""
+    return lo1 << e > hi[0] + sum(hi[j] << (j * e) for j in range(2, len(hi)))
+
+
+def reference_root_disc(c, x, spacing):
+    """_root_disc's search on the full shift: the first e from the same start that passes."""
+    n = len(c) - 1
+    s = max(0, math.ceil(math.log2(16 * n / spacing)))
+    u, v = (round(Fraction(t) * 2**s) for t in (x.real, x.imag))
+    lo1, hi = _shift_bounds(c, u, v, s)
+    e = max(0, hi[0].bit_length() - lo1.bit_length() + 1)
+    while 1 << e < v:
+        if _pellet(lo1, hi, e):
+            return realroots._Disc(u, v, s, e)
+        e += 1
+    return None
+
+
 def disc_holds(c, d):
     """d misses the real axis and, by Rouche, holds exactly one root of c."""
-    return 1 << d.e < d.v and realroots._pellet(*realroots._shift_bounds(c, d.u, d.v, d.s), d.e)
+    return 1 << d.e < d.v and _pellet(*_shift_bounds(c, d.u, d.v, d.s), d.e)
 
 
 @pytest.mark.parametrize("n, real", [(16, 14), (20, 18)])
@@ -450,22 +495,68 @@ def test_disc_must_miss_the_real_axis():
     c = [4, 0, 1]
     assert disc_holds(c, realroots._Disc(0, 2, 0, 0))
     touching = realroots._Disc(0, 2, 0, 1)
-    assert realroots._pellet(*realroots._shift_bounds(c, 0, 2, 0), touching.e)
+    assert _pellet(*_shift_bounds(c, 0, 2, 0), touching.e)
     assert not disc_holds(c, touching)
     # x^2 + 3 at 3i/2: 4 p(y/2) at 3i + t is 3 + 6i t + t^2; radius 2 > 3/2
     c = [3, 0, 1]
     assert disc_holds(c, realroots._Disc(0, 3, 1, 1))
     crossing = realroots._Disc(0, 3, 1, 2)
-    assert realroots._pellet(*realroots._shift_bounds(c, 0, 3, 1), crossing.e)
+    assert _pellet(*_shift_bounds(c, 0, 3, 1), crossing.e)
     assert not disc_holds(c, crossing)
 
 
 def test_pellet_rounds_toward_rejection():
     # x^2 + x + 1 at i: A_0 = i, A_1 = 1 + 2i, A_2 = 1.  At R = 2,
     # |A_1| R = 2 sqrt 5 < 5 = |A_0| + |A_2| R^2, though ceil |A_1| R = 6
-    lo1, hi = realroots._shift_bounds([1, 1, 1], 0, 1, 0)
+    lo1, hi = _shift_bounds([1, 1, 1], 0, 1, 0)
     assert (lo1, hi) == (2, [1, 3, 1])
-    assert not realroots._pellet(lo1, hi, 1)
+    assert not _pellet(lo1, hi, 1)
+    # x^2 + x + 2 at 2i: A_0 = -2 + 2i, A_1 = 1 + 4i, A_2 = 1.  At R = 1,
+    # sqrt 17 > 2 sqrt 2 + 1, but floor |A_1| = 4 = ceil |A_0| + 1; and
+    # R = 2 reaches the real axis
+    assert realroots._root_disc([2, 1, 1], 2j, 32) is None
+
+
+def b_guesses(n):
+    """(c, [(guess, spacing)]) as _b_certificate hands them to _root_disc."""
+    c = b_coeffs(n)
+    thetas, guesses = realroots._b_proposal(n)
+    separators = [-math.tan((a + b) / 2) ** 2 for a, b in zip(thetas, thetas[1:])]
+    spacings = [min([x.imag] + [abs(x - y) for y in separators + guesses if y != x]) for x in guesses]
+    return c, list(zip(guesses, spacings))
+
+
+def test_truncated_shift_finds_the_full_shifts_disc():
+    # the same disc, or None, on every guess, on centres turned off the
+    # root and on grids twice as coarse or fine
+    found = missed = 0
+    for n in range(16, 121):
+        c, cases = b_guesses(n)
+        for x, spacing in cases:
+            for y, sp in ((x, spacing), (x * (1 + 0.001j), spacing), (x * (1 + 0.002j), spacing),
+                          (x, spacing * 0.5), (x, spacing * 2)):
+                d = realroots._root_disc(c, y, sp)
+                assert d == reference_root_disc(c, y, sp), (n, y, sp)
+                found += d is not None
+                missed += d is None
+    assert found > 400 and missed > 50
+
+
+def test_b64_discs_close_within_eight_rounds(monkeypatch):
+    counts = []
+    taylor = realroots._taylor_rounds
+
+    def counted(*args):
+        counts.append(0)
+        for item in taylor(*args):
+            counts[-1] += 1
+            yield item
+
+    monkeypatch.setattr(realroots, "_taylor_rounds", counted)
+    c = b_coeffs(64)
+    discs = realroots._b_certificate(c)[1]
+    assert len(discs) == len(counts) == 2 and all(disc_holds(c, d) for d in discs)
+    assert max(counts) <= 8
 
 
 def test_overlapping_discs_are_rejected():
@@ -640,7 +731,7 @@ def counted(name):
         p, rungs = PRODUCTS[name](), []
     else:
         p = h_of(*name)
-        rungs = list(ladder_of(list(primitive_integer_coeffs(p))))
+        rungs = [Fraction(*r) for r in ladder_of(list(primitive_integer_coeffs(p)))]
         rungs += realroots._d_ladder(name[1]) if name[0] == "D" else []
     ends = set(rungs) | {Fraction(-1), Fraction(0)}
     for iv in isolate_real_roots(p, Fraction(1, 7)):
@@ -1104,7 +1195,8 @@ def test_b97_to_b120_are_picked_at_a_millionth(monkeypatch):
 
 # n - distinct_real of h_B on both sides of the ranks where it steps up by 2
 B_NON_REAL = {15: 0, 16: 2, 38: 2, 39: 4, 69: 4, 70: 6,
-              109: 6, 110: 8, 156: 8, 157: 10, 210: 10, 211: 12}
+              109: 6, 110: 8, 156: 8, 157: 10, 210: 10, 211: 12,
+              272: 12, 273: 14, 341: 14, 342: 16}
 
 
 def test_type_b_non_real_counts_step_at_their_thresholds(monkeypatch):
