@@ -25,7 +25,6 @@ __all__ = [
     "power",
     "eval_at",
     "derivative",
-    "squarefree_part",
     "squarefree_decomposition",
     "series_expand",
     "legendre",
@@ -366,6 +365,19 @@ def _squarefree_mod_prime(c: list[int], q: int = _SQF_PRIME) -> bool:
     return _gf_squarefree(_palindrome_half(a, q), q)
 
 
+def _int_squarefree_part(c: list[int]) -> list[int]:
+    """Squarefree part p / gcd(p, p'), Yun's first quotient, for p's primitive integers c.
+
+    Primitive with positive leading coefficient; c itself when the modular
+    certificate proves it squarefree, else one integer gcd, never a full Yun.
+    """
+    if c[-1] < 0:
+        c = [-x for x in c]
+    if _squarefree_mod_prime(c):
+        return c
+    return _int_exact_div(c, _int_gcd(c, _int_derivative(c)))
+
+
 def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...]:
     """Yun decomposition: pairwise-coprime squarefree factors with multiplicities.
 
@@ -413,25 +425,6 @@ def _yun(c: list[int]) -> tuple[tuple[Polynomial, int], ...]:
         y = _int_exact_div(z, gi) if z else []
         m += 1
     return tuple(factors)
-
-
-def squarefree_part(
-    p: Polynomial,
-) -> tuple[Polynomial, tuple[tuple[int, int], ...]]:
-    """Squarefree part of p plus its multiplicity profile.
-
-    The part is p / gcd(p, p'), primitive with positive leading
-    coefficient.  The profile lists (degree sum, multiplicity) pairs for
-    the squarefree factors, highest multiplicity first.
-    """
-    factors = squarefree_decomposition(p)
-    sf = ONE
-    for f, _ in factors:
-        sf = sf * f
-    profile = tuple(
-        (f.degree, m) for f, m in sorted(factors, key=lambda fm: -fm[1])
-    )
-    return sf, profile
 
 
 def series_expand(h: Polynomial, d: int, K: int) -> tuple[Fraction, ...]:

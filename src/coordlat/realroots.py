@@ -24,8 +24,8 @@ Gaussian-integer Taylor coefficients and an integer bound on the rest
 (_root_disc).  Only when r + 2m is the degree does the ladder certify.
 
 Every other polynomial is counted with a Sturm chain of its squarefree
-part: a primitive pseudo-remainder sequence, each element a positive
-multiple of the textbook one, so sign variations are unchanged.
+part p / gcd(p, p'): a primitive pseudo-remainder sequence, each element
+a positive multiple of the textbook one, so sign variations are unchanged.
 
 Isolation returns the cells that bisection on these counts ends in,
 from the bound 1 + max|c_k| / |c_d|, a one-root cell bisected on signs
@@ -62,10 +62,10 @@ from .exactpoly import (
     Polynomial,
     _int_derivative,
     _int_prs,
+    _int_squarefree_part,
     poly,
     primitive_integer_coeffs,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 __all__ = [
@@ -292,13 +292,8 @@ def _var_at_infinity(chain: list[list[int]], positive: bool) -> int:
     return _variations([_sign(f[-1]) * (1 if positive or len(f) % 2 else -1) for f in chain])
 
 
-def _squarefree_int(p: Polynomial) -> list[int]:
-    sf, _ = squarefree_part(p)
-    return list(primitive_integer_coeffs(sf))
-
-
 def sturm_chain(p: Polynomial) -> SturmChain:
-    """Sturm chain of the squarefree part of p.
+    """Sturm chain of the squarefree part of p, p / gcd(p, p').
 
     Remainder elements are reduced to primitive integer coefficients; a
     positive scaling never moves a sign, so variation counts match the
@@ -306,7 +301,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("sturm_chain needs degree >= 1")
-    sf = _squarefree_int(p)
+    sf = _int_squarefree_part(list(primitive_integer_coeffs(p)))
     return SturmChain(tuple(poly(c) for c in _int_prs(sf, _int_derivative(sf))))
 
 
@@ -705,11 +700,12 @@ def _counter(p: Polynomial) -> tuple[_Coeffs, _SturmCounter | _LadderCounter, _G
     """(c, root counter of c, float root guesses), c squarefree with p's roots.
 
     c is p's primitive coefficients when their ladder closes, which proves
-    them squarefree, and else p's squarefree part, on its own ladder or Sturm.
+    them squarefree, and else p / gcd(p, p'), on its own ladder or Sturm;
+    on input already squarefree, that part costs one modular test.
     """
     c = _Coeffs(primitive_integer_coeffs(p))
     rungs, guesses = _certificate(c)
-    if rungs is None and (sf := _squarefree_int(p)) != c:
+    if rungs is None and (sf := _int_squarefree_part(c)) != c:
         c = _Coeffs(sf)
         rungs, guesses = _certificate(c)
     if rungs is not None:

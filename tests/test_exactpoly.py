@@ -24,7 +24,6 @@ from coordlat.exactpoly import (
     primitive_integer_coeffs,
     series_expand,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 small_polys = st.lists(st.integers(-30, 30), min_size=1, max_size=7).map(poly)
@@ -155,17 +154,6 @@ def test_squarefree_decomposition_known_factors():
 
     sq = poly([1, 2, 1])
     assert squarefree_decomposition(sq) == ((poly([1, 1]), 2),)
-
-
-def test_squarefree_part_and_profile():
-    p = poly([0, 0, -1, 1])
-    sf, profile = squarefree_part(p)
-    assert sf == poly([0, -1, 1]) or sf == poly([0, 1, -1]).scale(-1)
-    assert profile == ((1, 2), (1, 1))
-
-    sf2, profile2 = squarefree_part(poly([-2, 0, 1]))
-    assert sf2.degree == 2
-    assert profile2 == ((2, 1),)
 
 
 def test_series_expansion():
@@ -349,6 +337,47 @@ def test_squarefree_but_not_modulo_the_prime_goes_through_yun(monkeypatch):
     # and with a square of it the undecided certificate still splits right
     assert squarefree_decomposition(p * p * poly([1, 1])) == ((poly([1, 1]), 1), (p, 2))
     assert len(calls) == 2
+
+
+def squarefree_part_reference(p):
+    """The primitive, positive-leading product of p's Yun factors (the old squarefree_part)."""
+    return _positive_primitive(math.prod((f for f, _ in squarefree_decomposition(p)), start=ONE))
+
+
+Q_SQUARE = poly([-exactpoly._SQF_PRIME, 0, 1])  # x^2 - q, x^2 modulo q
+factor_powers = st.lists(
+    st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(poly), st.integers(1, 3)),
+    min_size=1,
+    max_size=3,
+).map(lambda fs: math.prod((f**k for f, k in fs), start=ONE)).filter(lambda p: p.degree >= 1)
+scales = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@given(factor_powers, scales)
+@settings(max_examples=120, deadline=None)
+@example(poly([0, 0, -1, 1]), 1)  # x^2 (x - 1): part x (x - 1)
+@example(poly([-2, 0, 1]), Fraction(-3, 7))  # squarefree, certified
+@example(Q_SQUARE, 1)  # squarefree, but not modulo the prime
+@example(Q_SQUARE * Q_SQUARE, Fraction(-1, 2))
+@example(Q_SQUARE * poly([1, 1]), 3)
+@example(poly([1, 1]) ** 3 * poly([-2, 1]) ** 2, Fraction(5, 3))
+def test_squarefree_part_is_the_product_of_yun_factors(p, scale):
+    p = p.scale(scale)
+    c = list(primitive_integer_coeffs(p))
+    want = squarefree_part_reference(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactpoly, "_yun", None)
+        sf = exactpoly._int_squarefree_part(c)
+    assert sf == want and sf[-1] > 0
+    if c[-1] > 0 and exactpoly._squarefree_mod_prime(c):
+        assert sf is c
+
+
+def test_squarefree_part_of_known_polynomials():
+    assert exactpoly._int_squarefree_part([0, 0, -1, 1]) == [0, -1, 1]
+    assert exactpoly._int_squarefree_part([2, 0, -1]) == [-2, 0, 1]
+    q = exactpoly._SQF_PRIME
+    assert exactpoly._int_squarefree_part([q**2, 0, -2 * q, 0, 1]) == [-q, 0, 1]
 
 
 # palindromes: products of x^2 - y x + 1, whose roots pair x with 1/x

@@ -17,7 +17,6 @@ from coordlat.exactpoly import (
     poly,
     primitive_integer_coeffs,
     squarefree_decomposition,
-    squarefree_part,
 )
 from coordlat.realroots import (
     BracketingError,
@@ -291,7 +290,7 @@ def ref_refine(iv, p, width):
 
 
 def sturm_only_intervals(p, width=Fraction(1, 64)):
-    c = list(primitive_integer_coeffs(squarefree_part(p)[0]))
+    c = exactpoly._int_squarefree_part(list(primitive_integer_coeffs(p)))
     counter = RefSturm(p)
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
     lo, hi = Fraction(-bound), Fraction(bound)
@@ -383,8 +382,8 @@ def test_closed_forms_are_counted_without_a_squarefree_part(monkeypatch):
     # a closing ladder proves the closed form squarefree, so neither
     # counting nor isolation takes its squarefree part
     calls = []
-    part = realroots.squarefree_part
-    monkeypatch.setattr(realroots, "squarefree_part", lambda p: calls.append(p) or part(p))
+    part = realroots._int_squarefree_part
+    monkeypatch.setattr(realroots, "_int_squarefree_part", lambda c: calls.append(c) or part(c))
     for tag in "ABCD":
         for n in (*range(3 if tag == "D" else 1, 13), 36):
             h = h_of(tag, n)
@@ -392,7 +391,23 @@ def test_closed_forms_are_counted_without_a_squarefree_part(monkeypatch):
     assert calls == []
     prod = h_of("A", 3) * h_of("C", 2)
     assert count_real_roots(prod) == 5
-    assert calls == [prod]
+    assert calls == [list(primitive_integer_coeffs(prod))]
+
+
+def test_squarefree_part_takes_one_gcd_and_no_yun(monkeypatch):
+    # the squarefree part is p / gcd(p, p'), so a repeated factor costs
+    # one integer gcd, and a factor Yun already split is not split again
+    yuns, gcds = [], []
+    yun, gcd = exactpoly._yun, exactpoly._int_gcd
+    monkeypatch.setattr(exactpoly, "_yun", lambda c: yuns.append(c) or yun(c))
+    monkeypatch.setattr(exactpoly, "_int_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+    p = h_of("A", 5) ** 2 * h_of("C", 3)  # both odd palindromes, sharing x = -1
+    assert count_real_roots(p) == len(isolate_real_roots(p)) == 7
+    assert (len(yuns), len(gcds)) == (0, 2)
+    # x^2 - q is x^2 modulo q: its decomposition runs Yun once, and its
+    # count one gcd, not a second Yun
+    assert is_real_rooted(poly([-exactpoly._SQF_PRIME, 0, 1])) == RootReport(2, 2, 2, True)
+    assert len(yuns) == 1
 
 
 def test_dyadic_ladder_keeps_the_fraction_rungs():
@@ -1202,10 +1217,15 @@ B_NON_REAL = {15: 0, 16: 2, 38: 2, 39: 4, 69: 4, 70: 6,
 def test_type_b_non_real_counts_step_at_their_thresholds(monkeypatch):
     # every count comes from a ladder and Pellet discs that close: a
     # Sturm chain, or Yun's integer gcds, would build a remainder sequence
+    # of degree up to 342, so the spies fail on the first call instead
     calls = []
-    prs = exactpoly._int_prs
-    monkeypatch.setattr(realroots, "_int_prs", lambda *a: calls.append(a) or prs(*a))
-    monkeypatch.setattr(exactpoly, "_int_prs", lambda *a: calls.append(a) or prs(*a))
+
+    def no_prs(a, b):
+        calls.append(a)
+        raise AssertionError(f"remainder sequence built at degree {len(a) - 1}")
+
+    monkeypatch.setattr(realroots, "_int_prs", no_prs)
+    monkeypatch.setattr(exactpoly, "_int_prs", no_prs)
     for n, non_real in B_NON_REAL.items():
         rep = is_real_rooted(h_of("B", n))
         assert (n - rep.distinct_real, rep.real_with_multiplicity) == (non_real, rep.distinct_real)
