@@ -5,8 +5,9 @@ isolation certified by sign ladders (types A, C, D), sign ladders plus
 exact root discs (type B) or Sturm chains,
 trigonometric bracketing for the type D family,
 coefficient diagnostics (log-concavity, unimodality, truncated total
-positivity), and a brute-force word-length enumerator that cross-checks
-everything from the generator tables alone.
+positivity), a brute-force word-length enumerator that cross-checks
+everything from the generator tables alone, and a word-length count on
+Weyl-group orbits that needs only a type's simple roots.
 """
 from .coordinator import (
     CoordinatorPolynomial,
@@ -24,6 +25,7 @@ from .latticeenum import (
     LengthCensus,
     MemoryBudgetExceeded,
     OracleReport,
+    chamber_lengths,
     enumerate_lengths,
     lattice_spec,
     oracle_verify,
@@ -89,6 +91,7 @@ __all__ = [
     "ExpensiveLatticeError",
     "lattice_spec",
     "enumerate_lengths",
+    "chamber_lengths",
     "recover_coordinator",
     "oracle_verify",
 ]

@@ -2,8 +2,9 @@
 
 Subcommands: gen (print a coordinator polynomial), analyze (root and
 coefficient diagnostics), roots (isolating intervals, plus trig
-brackets for type D), enumerate (brute-force word-length census),
-verify (census against closed form), report (batch table over n).
+brackets for type D), enumerate (word-length census), verify
+(breadth-first census against the closed form or the orbit count),
+report (batch table over n).
 
 Exit codes: 0 success / property holds, 1 a checked property failed
 (witness printed), 2 usage or input error.  All diagnostics go to
@@ -37,6 +38,7 @@ from .coordinator import (
 from .exactpoly import Polynomial
 from .latticeenum import (
     MemoryBudgetExceeded,
+    chamber_lengths,
     enumerate_lengths,
     lattice_spec,
     oracle_verify,
@@ -130,17 +132,13 @@ def _ltype(args) -> LatticeType:
 def _poly_for(lt: LatticeType, allow_expensive: bool) -> Polynomial:
     """Coordinator polynomial: closed form, or recovery from a census.
 
-    G2 and F4 are counted to K = rank + 2, so the recovery's re-expansion
-    checks two levels it was not built from.  E6, E7 and E8 stay at
-    K = rank, where the re-expansion only reproduces its input: the BFS
-    already takes over a second for E6 at K = 6, and each further level
-    costs several times more.
+    The exceptional types are counted on Weyl-group orbits to
+    K = rank + 2, so the recovery's re-expansion checks two levels it
+    was not built from.
     """
     if lt.tag in CLOSED_FORM_TAGS:
         return coordinator(lt).poly
-    spec = lattice_spec(lt, allow_expensive)
-    slack = 0 if lt.tag in ("E6", "E7", "E8") else 2
-    return recover_coordinator(enumerate_lengths(spec, lt.rank + slack))
+    return recover_coordinator(chamber_lengths(lt, lt.rank + 2, allow_expensive))
 
 
 def _cmd_gen(args) -> tuple[str, int]:
@@ -262,8 +260,10 @@ def _cmd_roots(args) -> tuple[str, int]:
 
 def _cmd_enumerate(args) -> tuple[str, int]:
     lt = _ltype(args)
-    spec = lattice_spec(lt, args.allow_expensive)
-    census = enumerate_lengths(spec, args.K, memory_budget_mib=args.memory_budget)
+    if lt.tag in CLOSED_FORM_TAGS:
+        census = enumerate_lengths(lattice_spec(lt), args.K, memory_budget_mib=args.memory_budget)
+    else:
+        census = chamber_lengths(lt, args.K, args.allow_expensive, args.memory_budget)
     if args.format == "csv":
         return _table(("k", "S(k)"), enumerate(census.counts)), 0
     if args.format == "json":
@@ -360,13 +360,13 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=_rational, default=Fraction(1, 1024))
     sp.set_defaults(func=_cmd_roots)
 
-    sp = sub.add_parser("enumerate", help="brute-force word-length census")
+    sp = sub.add_parser("enumerate", help="word-length census")
     _add_common(sp)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--memory-budget", type=int, default=None, metavar="MiB")
     sp.set_defaults(func=_cmd_enumerate)
 
-    sp = sub.add_parser("verify", help="census against the closed form")
+    sp = sub.add_parser("verify", help="census against the closed form or orbit count")
     _add_common(sp)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--memory-budget", type=int, default=None, metavar="MiB")

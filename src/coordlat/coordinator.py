@@ -3,8 +3,8 @@
 The coordinator polynomial of a lattice graded by word length is the
 numerator h(x) of its growth series h(x) / (1-x)^d, where d is the rank.
 Types A, B, C and D have closed forms in terms of binomial coefficients;
-exceptional types are recovered by brute-force enumeration in the
-latticeenum module instead.
+exceptional types are recovered from a census counted on Weyl-group
+orbits in the latticeenum module instead.
 """
 from __future__ import annotations
 

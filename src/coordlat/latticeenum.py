@@ -1,25 +1,30 @@
-"""Brute-force enumeration of lattice points by word length.
+"""Word-length censuses of lattices, and coordinator recovery from them.
 
 A lattice is described by a finite symmetric generator set of integer
-vectors.  Breadth-first search counts the points whose shortest word in
-the generators has length exactly k; those counts recover the
-coordinator polynomial of the lattice, which cross-checks the closed
-forms and handles the exceptional lattices that have none here.
+vectors.  S(k) counts the points whose shortest word in the generators
+has length exactly k; those counts recover the coordinator polynomial
+of the lattice, which cross-checks the closed forms and handles the
+exceptional lattices that have none here.
 
 Every built-in table is a root system: all the roots of A_n, B_n, C_n,
 D_n, G2, F4, E6, E7 or E8, closed by reflections from the type's simple
 roots.  F4 and the E series are doubled to keep them integral.
 
-One breadth-first kernel does the counting.  It keys each point by a
-single Python int, so a generator step is one integer addition, and it
-keeps one key per pair x, -x of the last two levels of the walk only.
+Two counts give the same S(k).  enumerate_lengths is a breadth-first
+search over any table: it keys each point by a single Python int, so a
+generator step is one integer addition, and it keeps one key per pair
+x, -x of the last two levels of the walk only.  chamber_lengths counts
+a built-in irreducible type from its simple roots alone, one point per
+Weyl-group orbit, and keeps no points.  The command line runs the
+search for A-D, whose closed forms it checks, and the orbit count for
+G2, F4 and E6-E8; oracle_verify compares the two on those five.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import neg
+from operator import mul, neg
 from pathlib import Path
 from typing import Optional
 
@@ -35,6 +40,7 @@ __all__ = [
     "ReconstructionError",
     "lattice_spec",
     "enumerate_lengths",
+    "chamber_lengths",
     "recover_coordinator",
     "oracle_verify",
     "format_generator_table",
@@ -244,6 +250,12 @@ def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSp
     )
 
 
+def _budget_bytes(memory_budget_mib: Optional[int]) -> Optional[int]:
+    if memory_budget_mib is not None and memory_budget_mib < 0:
+        raise ValueError(f"memory budget must be >= 0 MiB, got {memory_budget_mib}")
+    return None if memory_budget_mib is None else memory_budget_mib * (1 << 20)
+
+
 def enumerate_lengths(
     spec: LatticeSpec,
     K: int,
@@ -269,8 +281,7 @@ def enumerate_lengths(
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if memory_budget_mib is not None and memory_budget_mib < 0:
-        raise ValueError(f"memory budget must be >= 0 MiB, got {memory_budget_mib}")
+    budget = _budget_bytes(memory_budget_mib)
     if backend not in ("auto", "python"):
         raise ValueError(
             f"unknown backend {backend!r}; 'auto' and 'python' both run the one census kernel"
@@ -278,7 +289,6 @@ def enumerate_lengths(
     B = 2 * K * spec.max_component + 1
     deltas = [sum(c * B**i for i, c in enumerate(g)) for g in spec.generators]
     key_bytes = sys.getsizeof(B**spec.ambient_dim) + _SET_SLOT_BYTES
-    budget = None if memory_budget_mib is None else memory_budget_mib * (1 << 20)
     prev, cur = set(), {0}
     counts = [1]
     for level in range(1, K + 1):
@@ -288,6 +298,134 @@ def enumerate_lengths(
         counts.append(2 * len(cur))
         if budget is not None and level < K and (len(prev) + len(cur)) * key_bytes > budget:
             raise MemoryBudgetExceeded(level, tuple(counts))
+    return LengthCensus(spec, K, tuple(counts))
+
+
+def _positive_roots(cartan: list[list[int]]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Positive roots in simple-root coordinates m, each with its support bits and height.
+
+    They are raised from the simple roots as in _root_system, here on
+    the labels <m, a_i^v>, the entries of C m, kept next to each m.
+    """
+    r = len(cartan)
+    cols = [[row[j] for row in cartan] for j in range(r)]
+    roots, todo = {}, []
+    for j in range(r):
+        e = (0,) * j + (1,) + (0,) * (r - j - 1)
+        roots[e] = (1 << j, 1)
+        todo.append((e, cols[j]))
+    while todo:
+        m, labels = todo.pop()
+        for i, x in enumerate(labels):
+            if x < 0:
+                w = (*m[:i], m[i] - x, *m[i + 1:])
+                if w not in roots:
+                    support, height = roots[m]
+                    roots[w] = (support | 1 << i, height - x)
+                    todo.append((w, [y - x * z for y, z in zip(labels, cols[i])]))
+    return roots
+
+
+def _scaled_inverse(cartan: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """The least D > 0 with D C^-1 integral, and the rows of D C^-1.
+
+    Fraction-free Gauss-Jordan on [C | I] leaves row i as d_i x_i = b_i,
+    with x_i the i-th row of C^-1.
+    """
+    r = len(cartan)
+    rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(cartan)]
+    for p in range(r):
+        q = next(q for q in range(p, r) if rows[q][p])
+        rows[p], rows[q] = rows[q], rows[p]
+        for q, row in enumerate(rows):
+            if q != p and row[p]:
+                rows[q] = [rows[p][p] * x - row[p] * y for x, y in zip(row, rows[p])]
+    D = math.lcm(*(row[i] // math.gcd(*row) for i, row in enumerate(rows)))
+    return D, [[x * D // row[i] for x in row[r:]] for i, row in enumerate(rows)]
+
+
+def chamber_lengths(
+    ltype: LatticeType,
+    K: int,
+    allow_expensive: bool = False,
+    memory_budget_mib: Optional[int] = None,
+) -> LengthCensus:
+    """Census of a built-in irreducible type, counted on Weyl-group orbits.
+
+    With all the roots as generators, the points of word length <= k
+    are the lattice points of k conv(roots) (Conway & Sloane, Proc. R.
+    Soc. A 453, 1997; Bacher, de la Harpe & Venkov, C. R. Acad. Sci.
+    Paris 325, 1997), and conv(roots) = conv(W theta) for the highest
+    root theta = sum c_i alpha_i.  Each W-orbit meets the dominant
+    chamber once, in lambda = sum m_i alpha_i with labels a = C m >= 0,
+    where C[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) is the
+    Cartan matrix.  lambda lies in k conv(W theta) exactly when
+    k theta - lambda is a nonnegative sum of simple roots, so its level
+    is ceil(max m_i / c_i).  The walk runs over labels a >= 0 and keeps
+    the points with m = C^-1 a integral.  C^-1 is entrywise positive,
+    so m only grows along the walk, which turns back once m leaves K c.
+    A point stands for its orbit of |W| / |W_J| points, J its zero
+    labels, where |W_J| is the product of (ht beta + 1) / ht beta over
+    the positive roots beta supported on J (Macdonald, Math. Ann. 199,
+    1972).
+
+    The spec comes from lattice_spec, so the E series needs
+    allow_expensive.  A memory budget is checked as enumerate_lengths
+    checks it and then always holds, since the count keeps no points.
+    D2 = A1 x A1 has no single highest root and raises ValueError.
+    """
+    spec = lattice_spec(ltype, allow_expensive)
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    _budget_bytes(memory_budget_mib)
+    simple = _SIMPLE_ROOTS[ltype.tag](ltype.rank)
+    r = len(simple)
+    C = [[2 * sum(map(mul, a, b)) // sum(map(mul, a, a)) for b in simple] for a in simple]
+    roots = _positive_roots(C)
+    top = max(h for _, h in roots.values())
+    highest = [m for m, (_, h) in roots.items() if h == top]
+    if len(highest) != 1:
+        raise ValueError(f"{ltype} is not irreducible: it has no single highest root")
+    D, inv = _scaled_inverse(C)
+    bound = [D * c for c in highest[0]]
+    # D m is packed in one int, w bits a coordinate; no field of room[k] - D m
+    # loses its top bit exactly when the point's level is at most k
+    w = (K * max(bound) + max(map(max, inv))).bit_length() + 1
+
+    def pack(xs) -> int:
+        return sum(x << w * i for i, x in enumerate(xs))
+
+    tops = pack([1 << w - 1] * r)
+    room = [tops + pack([k * b for b in bound]) for k in range(K + 1)]
+    steps = [pack([row[j] for row in inv]) for j in range(r)]
+    field = (1 << w) - 1
+    tally: dict[int, list[int]] = {}  # zero labels J -> points per level
+
+    def walk(j: int, v: int, level: int, zeros: int) -> None:
+        if j == r:
+            if D == 1 or all((v >> w * i & field) % D == 0 for i in range(r)):
+                tally.setdefault(zeros, [0] * (K + 1))[level] += 1
+            return
+        walk(j + 1, v, level, zeros | 1 << j)
+        while True:
+            v += steps[j]
+            while (room[level] - v) & tops != tops:
+                level += 1
+                if level > K:
+                    return
+            walk(j + 1, v, level, zeros)
+
+    walk(0, 0, 0, 0)
+    counts = [0] * (K + 1)
+    for zeros, per in tally.items():
+        # |W| / |W_J|: the product over the positive roots off J
+        num = den = 1
+        for support, height in roots.values():
+            if support & ~zeros:
+                num *= height + 1
+                den *= height
+        for k, n in enumerate(per):
+            counts[k] += num // den * n
     return LengthCensus(spec, K, tuple(counts))
 
 
@@ -325,30 +463,36 @@ def oracle_verify(
 ) -> OracleReport:
     """Check the brute-force census of a built-in type in one pass.
 
-    For A/B/C/D the census must match the closed-form series h/(1-x)^d
-    entry by entry, and at K >= d h is reported as the recovered
-    polynomial: the first d + 1 coefficients of (1-x)^d times h's series
-    are h, since deg h <= d, so recover_coordinator would return h and
-    none of its checks could fail.  For the exceptional types it runs,
-    and its polynomial is the result; a census shallower than d or
-    rejected by recovery is a mismatch.
+    The census must match an independent count entry by entry: the
+    closed-form series h/(1-x)^d for A/B/C/D, chamber_lengths for the
+    exceptional types.  For A/B/C/D at K >= d, h is then reported as the
+    recovered polynomial: the first d + 1 coefficients of (1-x)^d times
+    h's series are h, since deg h <= d, so recover_coordinator would
+    return h and none of its checks could fail.  For the exceptional
+    types recovery runs, and its polynomial is the result; a census
+    shallower than d or rejected by recovery is a mismatch.
     """
     spec = lattice_spec(ltype, allow_expensive)
     census = enumerate_lengths(spec, K, memory_budget_mib=memory_budget_mib)
-    if ltype.tag not in CLOSED_FORM_TAGS:
-        try:
-            return OracleReport(ltype, K, True, census, recovered=recover_coordinator(census))
-        except ValueError as exc:
-            return OracleReport(ltype, K, False, census, detail=str(exc))
-    h = coordinator(ltype).poly
-    for k, (want, got) in enumerate(zip(series_expand(h, ltype.rank, K), census.counts)):
-        if want != got:
+    if ltype.tag in CLOSED_FORM_TAGS:
+        h = coordinator(ltype).poly
+        want, source = series_expand(h, ltype.rank, K), "series"
+    else:
+        h = None
+        want, source = chamber_lengths(ltype, K, allow_expensive).counts, "orbit count"
+    for k, (exp, got) in enumerate(zip(want, census.counts)):
+        if exp != got:
             return OracleReport(
-                ltype, K, False, census, first_mismatch=(k, int(want), got),
-                closed_form=h, detail=f"series mismatch at k={k}",
+                ltype, K, False, census, first_mismatch=(k, int(exp), got),
+                closed_form=h, detail=f"{source} mismatch at k={k}",
             )
-    recovered = h if K >= ltype.rank else None
-    return OracleReport(ltype, K, True, census, closed_form=h, recovered=recovered)
+    if h is not None:
+        recovered = h if K >= ltype.rank else None
+        return OracleReport(ltype, K, True, census, closed_form=h, recovered=recovered)
+    try:
+        return OracleReport(ltype, K, True, census, recovered=recover_coordinator(census))
+    except ValueError as exc:
+        return OracleReport(ltype, K, False, census, detail=str(exc))
 
 
 def format_generator_table(spec: LatticeSpec) -> str:

@@ -50,22 +50,38 @@ def test_gen_exceptional_through_recovery(capsys):
     assert json.loads(out) == {"type": "G2", "n": 2, "coeffs": ["1", "10", "7"]}
 
 
-@pytest.mark.parametrize("tag", ["G2", "F4"])
+@pytest.mark.parametrize("tag", ["G2", "F4", "E6", "E7", "E8"])
 def test_gen_recovery_checks_levels_beyond_the_rank(capsys, monkeypatch, tag):
     from coordlat import cli
     from coordlat.latticeenum import LengthCensus
 
-    real = cli.enumerate_lengths
+    real = cli.chamber_lengths
 
-    def corrupted(spec, K, **kw):
-        counts = list(real(spec, K, **kw).counts)
-        counts[spec.rank + 1] += 2
-        return LengthCensus(spec, K, counts)
+    def corrupted(lt, K, *args, **kw):
+        census = real(lt, K, *args, **kw)
+        counts = list(census.counts)
+        counts[lt.rank + 1] += 2
+        return LengthCensus(census.spec, K, counts)
 
-    monkeypatch.setattr(cli, "enumerate_lengths", corrupted)
-    code, out, err = run(capsys, "gen", "--type", tag)
+    monkeypatch.setattr(cli, "chamber_lengths", corrupted)
+    code, out, err = run(capsys, "gen", "--type", tag, "--allow-expensive")
     assert (code, out) == (2, "")
     assert err == "error: recovered polynomial fails to reproduce the census\n"
+
+
+def test_gen_recovers_the_e_series_from_the_orbit_count(capsys):
+    want = "type:E8\ndegree:8\ncoeffs:1 232 7228 55384 133510 107224 24508 232 1\n"
+    assert run(capsys, "gen", "--type", "E8", "--allow-expensive") == (0, want, "")
+
+
+@pytest.mark.parametrize("tag", ["E6", "E7", "E8"])
+def test_analyze_and_roots_finish_on_the_e_series(capsys, tag):
+    code, out, err = run(capsys, "analyze", "--type", tag, "--allow-expensive")
+    assert (code, err) == (0, "")
+    assert "log_concave:true" in out.splitlines()
+    code, out, err = run(capsys, "roots", "--type", tag, "--allow-expensive")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"type:{tag}\ndistinct_real:")
 
 
 def test_verify_reports_a_closed_form_mismatch(capsys, corrupt_census):
@@ -327,6 +343,12 @@ def test_memory_budget_exit(capsys):
     code, _, err = run(capsys, "enumerate", "--type", "D", "--n", "4", "--K", "12", "--memory-budget", "0")
     assert code == 2
     assert "memory budget exceeded" in err
+
+
+def test_orbit_count_checks_the_memory_budget_and_never_exceeds_it(capsys):
+    argv = ("enumerate", "--type", "E6", "--K", "2", "--allow-expensive", "--memory-budget")
+    assert run(capsys, *argv, "-5") == (2, "", "error: memory budget must be >= 0 MiB, got -5\n")
+    assert run(capsys, *argv, "0") == (0, "type:E6\nS(0) = 1\nS(1) = 72\nS(2) = 1062\n", "")
 
 
 def test_negative_memory_budget_exit(capsys):

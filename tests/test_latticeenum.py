@@ -1,4 +1,5 @@
-"""Generator tables, BFS census, and coordinator recovery."""
+"""Generator tables, BFS census, orbit count, and coordinator recovery."""
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -15,6 +16,7 @@ from coordlat.latticeenum import (
     LengthCensus,
     MemoryBudgetExceeded,
     ReconstructionError,
+    chamber_lengths,
     enumerate_lengths,
     format_generator_table,
     lattice_spec,
@@ -215,6 +217,55 @@ def test_e_series_censuses():
     for tag, want in known.items():
         spec = lattice_spec(lt(tag), allow_expensive=True)
         assert enumerate_lengths(spec, len(want) - 1).counts == want
+
+
+@pytest.mark.parametrize("tag,K", [("G2", 12), ("F4", 6), ("E6", 4), ("E7", 3), ("E8", 3)])
+def test_orbit_count_equals_the_bfs(tag, K):
+    bfs = enumerate_lengths(lattice_spec(lt(tag), allow_expensive=True), K)
+    for k in range(K + 1):
+        census = chamber_lengths(lt(tag), k, allow_expensive=True)
+        assert census.counts == bfs.counts[: k + 1], (tag, k)
+    assert census.spec == bfs.spec
+
+
+# Conway & Sloane, Proc. R. Soc. A 453 (1997)
+CONWAY_SLOANE = {
+    "G2": [1, 10, 7],
+    "F4": [1, 44, 198, 140, 1],
+    "E6": [1, 66, 645, 1384, 645, 66, 1],
+    "E7": [1, 119, 2037, 8211, 8787, 2037, 119, 1],
+    "E8": [1, 232, 7228, 55384, 133510, 107224, 24508, 232, 1],
+}
+
+
+@pytest.mark.parametrize("tag", list(CONWAY_SLOANE))
+def test_orbit_count_gives_the_conway_sloane_series(tag):
+    n = lt(tag).rank
+    census = chamber_lengths(lt(tag), n + 2, allow_expensive=True)
+    assert census.counts == series_expand(poly(CONWAY_SLOANE[tag]), n, n + 2)
+
+
+def test_orbit_count_gives_the_closed_form_series_through_rank_ten():
+    t0 = time.perf_counter()
+    for tag in "ABCD":
+        for n in range(3 if tag == "D" else 1, 11):
+            t = lt(tag, n)
+            want = series_expand(coordinator(t).poly, n, n + 2)
+            assert chamber_lengths(t, n + 2).counts == want, t
+    assert time.perf_counter() - t0 < 3
+
+
+def test_orbit_count_input_checks():
+    with pytest.raises(ValueError, match="no single highest root"):
+        chamber_lengths(lt("D", 2), 3)
+    with pytest.raises(ExpensiveLatticeError):
+        chamber_lengths(lt("E6"), 1)
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        chamber_lengths(lt("G2"), -1)
+    with pytest.raises(ValueError, match="memory budget must be >= 0 MiB, got -1"):
+        chamber_lengths(lt("G2"), 2, memory_budget_mib=-1)
+    assert chamber_lengths(lt("G2"), 2, memory_budget_mib=0).counts == (1, 12, 30)
+    assert chamber_lengths(lt("A", 1), 0).counts == (1,)
 
 
 def _unimodular_image(spec, lower, upper):
@@ -610,6 +661,18 @@ def test_closed_form_mismatch_is_reported(corrupt_census, level):
     assert rep.census.counts[level] == want + 2
     assert (rep.closed_form, rep.recovered) == (h, None)
     assert rep.detail == f"series mismatch at k={level}"
+
+
+@pytest.mark.parametrize("tag,K,level", [("F4", 4, 2), ("G2", 2, 1), ("G2", 4, 4)])
+def test_exceptional_census_is_checked_against_the_orbit_count(corrupt_census, tag, K, level):
+    # recovery alone passes the first two: it checks no level at K = rank
+    want = chamber_lengths(lt(tag), K).counts[level]
+    corrupt_census(level)
+    rep = oracle_verify(lt(tag), K)
+    assert not rep.matched
+    assert rep.first_mismatch == (level, want, want + 2)
+    assert (rep.closed_form, rep.recovered) == (None, None)
+    assert rep.detail == f"orbit count mismatch at k={level}"
 
 
 def test_isomorphic_lattices_have_equal_censuses():
