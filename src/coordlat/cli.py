@@ -38,6 +38,7 @@ from .coordinator import (
 from .exactpoly import Polynomial
 from .latticeenum import (
     MemoryBudgetExceeded,
+    _budget_bytes,
     chamber_lengths,
     enumerate_lengths,
     lattice_spec,
@@ -129,21 +130,21 @@ def _ltype(args) -> LatticeType:
     return LatticeType(tag, n) if n is not None else LatticeType(tag)
 
 
-def _poly_for(lt: LatticeType, allow_expensive: bool) -> Polynomial:
+def _poly_for(lt: LatticeType) -> Polynomial:
     """Coordinator polynomial: closed form, or recovery from a census.
 
-    The exceptional types are counted on Weyl-group orbits to
-    K = rank + 2, so the recovery's re-expansion checks two levels it
-    was not built from.
+    The exceptional types, E8 too, are counted on Weyl-group orbits to
+    K = rank + 2 with no opt-in, so the recovery's re-expansion checks
+    two levels it was not built from.
     """
     if lt.tag in CLOSED_FORM_TAGS:
         return coordinator(lt).poly
-    return recover_coordinator(chamber_lengths(lt, lt.rank + 2, allow_expensive))
+    return recover_coordinator(chamber_lengths(lt, lt.rank + 2))
 
 
 def _cmd_gen(args) -> tuple[str, int]:
     lt = _ltype(args)
-    h = _poly_for(lt, args.allow_expensive)
+    h = _poly_for(lt)
     coeffs = [_numstr(c) for c in h.coeffs]
     if args.format == "csv":
         return _table(("k", "h_k"), enumerate(coeffs)), 0
@@ -192,7 +193,7 @@ def _table_row(record: list) -> list:
 def _cmd_analyze(args) -> tuple[str, int]:
     lt = _ltype(args)
     order = args.max_order
-    h = _poly_for(lt, args.allow_expensive)
+    h = _poly_for(lt)
     record, lc, um, pf = _verdicts(h, order)
     held = {
         "real-rooted": dict(record)["real_rooted"],
@@ -238,7 +239,7 @@ def _cmd_analyze(args) -> tuple[str, int]:
 
 def _cmd_roots(args) -> tuple[str, int]:
     lt = _ltype(args)
-    h = _poly_for(lt, args.allow_expensive)
+    h = _poly_for(lt)
     intervals = [_ends(iv) for iv in isolate_real_roots(h, args.width)]
     brackets = []
     if lt.tag == "D" and lt.rank >= 3:
@@ -263,7 +264,9 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     if lt.tag in CLOSED_FORM_TAGS:
         census = enumerate_lengths(lattice_spec(lt), args.K, memory_budget_mib=args.memory_budget)
     else:
-        census = chamber_lengths(lt, args.K, args.allow_expensive, args.memory_budget)
+        # the orbit count keeps no points, so the budget is only checked
+        _budget_bytes(args.K, args.memory_budget)
+        census = chamber_lengths(lt, args.K)
     if args.format == "csv":
         return _table(("k", "S(k)"), enumerate(census.counts)), 0
     if args.format == "json":
@@ -275,12 +278,7 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     lt = _ltype(args)
-    rep = oracle_verify(
-        lt,
-        args.K,
-        allow_expensive=args.allow_expensive,
-        memory_budget_mib=args.memory_budget,
-    )
+    rep = oracle_verify(lt, args.K, args.allow_expensive, args.memory_budget)
     legendre = legendre_identity_check(lt.rank) if lt.tag == "A" else None
     code = 0 if rep.matched and legendre is not False else 1
     counts = rep.census.counts
@@ -332,7 +330,13 @@ def _add_common(sp) -> None:
     sp.add_argument("--n", type=int)
     sp.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sp.add_argument("--out", default=None)
+
+
+def _add_census(sp) -> None:
+    """enumerate's and verify's options; only verify's search of E6-E8 needs the opt-in."""
     sp.add_argument("--allow-expensive", action="store_true")
+    sp.add_argument("--K", type=int, required=True)
+    sp.add_argument("--memory-budget", type=int, default=None, metavar="MiB")
 
 
 # built once per process: parse_args keeps no state in the parser
@@ -362,14 +366,12 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="word-length census")
     _add_common(sp)
-    sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--memory-budget", type=int, default=None, metavar="MiB")
+    _add_census(sp)
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("verify", help="census against the closed form or orbit count")
     _add_common(sp)
-    sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--memory-budget", type=int, default=None, metavar="MiB")
+    _add_census(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("report", help="batch table over n = 1..N")

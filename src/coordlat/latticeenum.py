@@ -15,9 +15,10 @@ search over any table: it keys each point by a single Python int, so a
 generator step is one integer addition, and it keeps one key per pair
 x, -x of the last two levels of the walk only.  chamber_lengths counts
 a built-in irreducible type from its simple roots alone, one point per
-Weyl-group orbit, and keeps no points.  The command line runs the
-search for A-D, whose closed forms it checks, and the orbit count for
-G2, F4 and E6-E8; oracle_verify compares the two on those five.
+Weyl-group orbit, keeps no points and, unlike the search, needs no
+opt-in for the E series.  The command line runs the search for
+A-D, whose closed forms it checks, and the orbit count for G2, F4 and
+E6-E8; oracle_verify compares the two on those five.
 """
 from __future__ import annotations
 
@@ -235,8 +236,8 @@ def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSp
     """Generator table for the given lattice type: all of its roots.
 
     The E-series tables have 72 to 240 generators in eight dimensions
-    and enumeration over them grows quickly, so they sit behind
-    allow_expensive.
+    and a breadth-first search over them grows quickly, so they sit
+    behind allow_expensive.
     """
     tag = ltype.tag
     if tag in ("E6", "E7", "E8") and not allow_expensive:
@@ -250,7 +251,10 @@ def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSp
     )
 
 
-def _budget_bytes(memory_budget_mib: Optional[int]) -> Optional[int]:
+def _budget_bytes(K: int, memory_budget_mib: Optional[int]) -> Optional[int]:
+    """The budget in bytes, once K and then the budget are checked to be >= 0."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
     if memory_budget_mib is not None and memory_budget_mib < 0:
         raise ValueError(f"memory budget must be >= 0 MiB, got {memory_budget_mib}")
     return None if memory_budget_mib is None else memory_budget_mib * (1 << 20)
@@ -279,9 +283,7 @@ def enumerate_lengths(
     Raises MemoryBudgetExceeded when the keys of the two kept levels
     outgrow the budget before K, and ValueError for a negative budget.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    budget = _budget_bytes(memory_budget_mib)
+    budget = _budget_bytes(K, memory_budget_mib)
     if backend not in ("auto", "python"):
         raise ValueError(
             f"unknown backend {backend!r}; 'auto' and 'python' both run the one census kernel"
@@ -344,12 +346,7 @@ def _scaled_inverse(cartan: list[list[int]]) -> tuple[int, list[list[int]]]:
     return D, [[x * D // row[i] for x in row[r:]] for i, row in enumerate(rows)]
 
 
-def chamber_lengths(
-    ltype: LatticeType,
-    K: int,
-    allow_expensive: bool = False,
-    memory_budget_mib: Optional[int] = None,
-) -> LengthCensus:
+def chamber_lengths(ltype: LatticeType, K: int) -> LengthCensus:
     """Census of a built-in irreducible type, counted on Weyl-group orbits.
 
     With all the roots as generators, the points of word length <= k
@@ -369,15 +366,14 @@ def chamber_lengths(
     the positive roots beta supported on J (Macdonald, Math. Ann. 199,
     1972).
 
-    The spec comes from lattice_spec, so the E series needs
-    allow_expensive.  A memory budget is checked as enumerate_lengths
-    checks it and then always holds, since the count keeps no points.
-    D2 = A1 x A1 has no single highest root and raises ValueError.
+    The spec is lattice_spec's table with the E-series gate open, since
+    the gate guards the breadth-first search; the count takes
+    milliseconds on E8.  D2 = A1 x A1 has no single highest root and
+    raises ValueError.
     """
-    spec = lattice_spec(ltype, allow_expensive)
+    spec = lattice_spec(ltype, allow_expensive=True)
     if K < 0:
         raise ValueError("K must be >= 0")
-    _budget_bytes(memory_budget_mib)
     simple = _SIMPLE_ROOTS[ltype.tag](ltype.rank)
     r = len(simple)
     C = [[2 * sum(map(mul, a, b)) // sum(map(mul, a, a)) for b in simple] for a in simple]
@@ -479,7 +475,7 @@ def oracle_verify(
         want, source = series_expand(h, ltype.rank, K), "series"
     else:
         h = None
-        want, source = chamber_lengths(ltype, K, allow_expensive).counts, "orbit count"
+        want, source = chamber_lengths(ltype, K).counts, "orbit count"
     for k, (exp, got) in enumerate(zip(want, census.counts)):
         if exp != got:
             return OracleReport(

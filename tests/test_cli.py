@@ -64,22 +64,34 @@ def test_gen_recovery_checks_levels_beyond_the_rank(capsys, monkeypatch, tag):
         return LengthCensus(census.spec, K, counts)
 
     monkeypatch.setattr(cli, "chamber_lengths", corrupted)
-    code, out, err = run(capsys, "gen", "--type", tag, "--allow-expensive")
+    code, out, err = run(capsys, "gen", "--type", tag)
     assert (code, out) == (2, "")
     assert err == "error: recovered polynomial fails to reproduce the census\n"
 
 
 def test_gen_recovers_the_e_series_from_the_orbit_count(capsys):
     want = "type:E8\ndegree:8\ncoeffs:1 232 7228 55384 133510 107224 24508 232 1\n"
-    assert run(capsys, "gen", "--type", "E8", "--allow-expensive") == (0, want, "")
+    assert run(capsys, "gen", "--type", "E8") == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--type", "E8"), ("analyze", "--type", "E7"), ("roots", "--type", "E6"),
+     ("report", "--type", "A", "--n", "3")],
+    ids=["gen", "analyze", "roots", "report"],
+)
+def test_only_the_census_subcommands_take_the_e_series_opt_in(capsys, argv):
+    code, out, err = run(capsys, *argv, "--allow-expensive")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --allow-expensive\n")
 
 
 @pytest.mark.parametrize("tag", ["E6", "E7", "E8"])
 def test_analyze_and_roots_finish_on_the_e_series(capsys, tag):
-    code, out, err = run(capsys, "analyze", "--type", tag, "--allow-expensive")
+    code, out, err = run(capsys, "analyze", "--type", tag)
     assert (code, err) == (0, "")
     assert "log_concave:true" in out.splitlines()
-    code, out, err = run(capsys, "roots", "--type", tag, "--allow-expensive")
+    code, out, err = run(capsys, "roots", "--type", tag)
     assert (code, err) == (0, "")
     assert out.startswith(f"type:{tag}\ndistinct_real:")
 
@@ -183,7 +195,7 @@ def test_analyze_prints_every_witness(capsys, monkeypatch):
     # 3 + x + 3x^2 fails log-concavity, unimodality and order 2
     from coordlat.exactpoly import poly
 
-    monkeypatch.setattr(cli, "_poly_for", lambda lt, allow_expensive: poly([3, 1, 3]))
+    monkeypatch.setattr(cli, "_poly_for", lambda lt: poly([3, 1, 3]))
     argv = ("analyze", "--type", "A", "--n", "2", "--expect", "log-concave")
     code, out, _ = run(capsys, *argv)
     assert code == 1
@@ -212,7 +224,7 @@ def test_analyze_prints_every_witness(capsys, monkeypatch):
 def test_analyze_prints_an_order_three_witness(capsys, monkeypatch):
     from coordlat.exactpoly import poly
 
-    monkeypatch.setattr(cli, "_poly_for", lambda lt, allow_expensive: poly([1, 1, 1, 1]))
+    monkeypatch.setattr(cli, "_poly_for", lambda lt: poly([1, 1, 1, 1]))
     code, out, _ = run(capsys, "analyze", "--type", "A", "--n", "2", "--max-order", "3")
     assert code == 0
     assert out.splitlines()[-1] == "pf_witness:rows=(1, 2, 4) cols=(0, 1, 2) det=-1"
@@ -331,12 +343,18 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 
 
 def test_expensive_lattice_needs_flag(capsys):
-    code, out, err = run(capsys, "enumerate", "--type", "E6", "--K", "1")
-    assert code == 2
+    # the gate guards verify's breadth-first search; with the flag the
+    # census runs and only recovery, below the rank, fails
+    code, out, err = run(capsys, "verify", "--type", "E6", "--K", "1")
+    assert (code, out) == (2, "")
     assert "allow-expensive" in err
-    code, out, _ = run(capsys, "enumerate", "--type", "E6", "--K", "1", "--allow-expensive")
-    assert code == 0
-    assert "S(1) = 72" in out
+    code, out, _ = run(capsys, "verify", "--type", "E6", "--K", "1", "--allow-expensive")
+    assert code == 1
+    assert "census:[1, 72]" in out.splitlines()
+    # enumerate counts on orbits, and the flag changes nothing
+    census = (0, "type:E6\nS(0) = 1\nS(1) = 72\n", "")
+    assert run(capsys, "enumerate", "--type", "E6", "--K", "1") == census
+    assert run(capsys, "enumerate", "--type", "E6", "--K", "1", "--allow-expensive") == census
 
 
 def test_memory_budget_exit(capsys):

@@ -1211,13 +1211,16 @@ def test_b97_to_b120_are_picked_at_a_millionth(monkeypatch):
 # n - distinct_real of h_B on both sides of the ranks where it steps up by 2
 B_NON_REAL = {15: 0, 16: 2, 38: 2, 39: 4, 69: 4, 70: 6,
               109: 6, 110: 8, 156: 8, 157: 10, 210: 10, 211: 12,
-              272: 12, 273: 14, 341: 14, 342: 16}
+              272: 12, 273: 14, 341: 14, 342: 16,
+              # out of sample for the README's conjecture, which predicts
+              # B416, B497 and B584
+              416: 16, 417: 18, 498: 18, 499: 20, 587: 20, 588: 22}
 
 
 def test_type_b_non_real_counts_step_at_their_thresholds(monkeypatch):
     # every count comes from a ladder and Pellet discs that close: a
     # Sturm chain, or Yun's integer gcds, would build a remainder sequence
-    # of degree up to 342, so the spies fail on the first call instead
+    # of degree up to 588, so the spies fail on the first call instead
     calls = []
 
     def no_prs(a, b):
