@@ -8,17 +8,21 @@ exceptional lattices that have none here.
 
 Every built-in table is a root system: all the roots of A_n, B_n, C_n,
 D_n, G2, F4, E6, E7 or E8, closed by reflections from the type's simple
-roots.  F4 and the E series are doubled to keep them integral.
+roots.  F4 and the E series are doubled to keep them integral.  The one
+closure carries each positive root's coordinates over the simple roots,
+so it gives both the table and the heights and marks the orbit count
+needs.
 
 Two counts give the same S(k).  enumerate_lengths is a breadth-first
 search over any table: it keys each point by a single Python int, so a
 generator step is one integer addition, and it keeps one key per pair
 x, -x of the last two levels of the walk only.  chamber_lengths counts
-a built-in irreducible type from its simple roots alone, one point per
-Weyl-group orbit, keeps no points and, unlike the search, needs no
-opt-in for the E series.  The command line runs the search for
-A-D, whose closed forms it checks, and the orbit count for G2, F4 and
-E6-E8; oracle_verify compares the two on those five.
+a built-in irreducible type one point per Weyl-group orbit and keeps
+no points.  The E-series opt-in of lattice_spec guards only the
+search; the orbit count does not pass through it.  The command line
+runs the search for A-D, whose closed forms it checks, and the orbit
+count for G2, F4 and E6-E8; oracle_verify compares the two on those
+five.
 """
 from __future__ import annotations
 
@@ -201,35 +205,45 @@ _SIMPLE_ROOTS = {
 _SCALE = {"F4": 2, "E6": 2, "E7": 2, "E8": 2}
 
 
-def _root_system(simple: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Every root, of both signs, of the system with these simple roots.
+def _root_system(simple: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The positive roots of the system with these simple roots, and their coordinates m.
 
-    Each positive root that is not simple is s_i(v) = v - <v, a_i^v> a_i
+    Each positive root that is not simple is w = s_i(v) = v - <v, a_i^v> a_i
     for a lower positive root v with <v, a_i^v> < 0, so raising by those
-    reflections reaches them all.  Only a simple root that meets a
-    nonzero coordinate of v can have <v, a_i^v> != 0.
+    reflections reaches them all, and m(w) is m(v) with <v, a_i^v> taken
+    from m_i.  Only a simple root that meets a nonzero coordinate of v
+    can have <v, a_i^v> != 0.  The keys are the roots in ambient
+    coordinates, the values their coordinates over the simple roots.
     """
+    r = len(simple)
     sparse = [[(k, c) for k, c in enumerate(a) if c] for a in simple]
     norms = [sum(c * c for _, c in s) for s in sparse]
     touching = [[i for i, a in enumerate(simple) if a[k]] for k in range(len(simple[0]))]
-    positive = set(simple)
+    positive = {a: (0,) * i + (1,) + (0,) * (r - i - 1) for i, a in enumerate(simple)}
     todo = list(simple)
     while todo:
         v = todo.pop()
         for i in {i for k, x in enumerate(v) if x for i in touching[k]}:
-            m = 0
+            p = 0
             for k, c in sparse[i]:
-                m += v[k] * c
-            if m < 0:
-                m = 2 * m // norms[i]  # <v, a_i^v>, an integer for roots
+                p += v[k] * c
+            if p < 0:
+                p = 2 * p // norms[i]  # <v, a_i^v>, an integer for roots
                 w = list(v)
                 for k, c in sparse[i]:
-                    w[k] -= m * c
+                    w[k] -= p * c
                 w = tuple(w)
                 if w not in positive:
-                    positive.add(w)
+                    m = positive[v]
+                    positive[w] = (*m[:i], m[i] - p, *m[i + 1:])
                     todo.append(w)
-    return (*positive, *(tuple(map(neg, v)) for v in positive))
+    return positive
+
+
+def _spec(ltype: LatticeType, simple: list[tuple[int, ...]], roots: dict) -> LatticeSpec:
+    """The table of a built-in type: its positive roots and their negatives."""
+    gens = (*roots, *(tuple(map(neg, v)) for v in roots))
+    return LatticeSpec(len(simple[0]), len(simple), gens, _SCALE.get(ltype.tag, 1), str(ltype))
 
 
 def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSpec:
@@ -237,7 +251,9 @@ def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSp
 
     The E-series tables have 72 to 240 generators in eight dimensions
     and a breadth-first search over them grows quickly, so they sit
-    behind allow_expensive.
+    behind allow_expensive.  The gate guards only that search:
+    chamber_lengths builds the same table from the same closure without
+    passing through it.
     """
     tag = ltype.tag
     if tag in ("E6", "E7", "E8") and not allow_expensive:
@@ -246,9 +262,7 @@ def lattice_spec(ltype: LatticeType, allow_expensive: bool = False) -> LatticeSp
             "(--allow-expensive on the command line)"
         )
     simple = _SIMPLE_ROOTS[tag](ltype.rank)
-    return LatticeSpec(
-        len(simple[0]), len(simple), _root_system(simple), _SCALE.get(tag, 1), str(ltype)
-    )
+    return _spec(ltype, simple, _root_system(simple))
 
 
 def _budget_bytes(K: int, memory_budget_mib: Optional[int]) -> Optional[int]:
@@ -303,31 +317,6 @@ def enumerate_lengths(
     return LengthCensus(spec, K, tuple(counts))
 
 
-def _positive_roots(cartan: list[list[int]]) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Positive roots in simple-root coordinates m, each with its support bits and height.
-
-    They are raised from the simple roots as in _root_system, here on
-    the labels <m, a_i^v>, the entries of C m, kept next to each m.
-    """
-    r = len(cartan)
-    cols = [[row[j] for row in cartan] for j in range(r)]
-    roots, todo = {}, []
-    for j in range(r):
-        e = (0,) * j + (1,) + (0,) * (r - j - 1)
-        roots[e] = (1 << j, 1)
-        todo.append((e, cols[j]))
-    while todo:
-        m, labels = todo.pop()
-        for i, x in enumerate(labels):
-            if x < 0:
-                w = (*m[:i], m[i] - x, *m[i + 1:])
-                if w not in roots:
-                    support, height = roots[m]
-                    roots[w] = (support | 1 << i, height - x)
-                    todo.append((w, [y - x * z for y, z in zip(labels, cols[i])]))
-    return roots
-
-
 def _scaled_inverse(cartan: list[list[int]]) -> tuple[int, list[list[int]]]:
     """The least D > 0 with D C^-1 integral, and the rows of D C^-1.
 
@@ -366,20 +355,19 @@ def chamber_lengths(ltype: LatticeType, K: int) -> LengthCensus:
     the positive roots beta supported on J (Macdonald, Math. Ann. 199,
     1972).
 
-    The spec is lattice_spec's table with the E-series gate open, since
-    the gate guards the breadth-first search; the count takes
-    milliseconds on E8.  D2 = A1 x A1 has no single highest root and
-    raises ValueError.
+    One closure, _root_system, gives the census its table and the count
+    its heights, supports and marks, read off each root's coordinates m.
+    The count does not pass through lattice_spec's E-series gate, which
+    guards only the breadth-first search; it takes milliseconds on E8.
+    D2 = A1 x A1 has no single highest root and raises ValueError.
     """
-    spec = lattice_spec(ltype, allow_expensive=True)
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    _budget_bytes(K, None)
     simple = _SIMPLE_ROOTS[ltype.tag](ltype.rank)
+    roots = _root_system(simple)
     r = len(simple)
     C = [[2 * sum(map(mul, a, b)) // sum(map(mul, a, a)) for b in simple] for a in simple]
-    roots = _positive_roots(C)
-    top = max(h for _, h in roots.values())
-    highest = [m for m, (_, h) in roots.items() if h == top]
+    top = max(map(sum, roots.values()))
+    highest = [m for m in roots.values() if sum(m) == top]
     if len(highest) != 1:
         raise ValueError(f"{ltype} is not irreducible: it has no single highest root")
     D, inv = _scaled_inverse(C)
@@ -412,17 +400,19 @@ def chamber_lengths(ltype: LatticeType, K: int) -> LengthCensus:
             walk(j + 1, v, level, zeros)
 
     walk(0, 0, 0, 0)
+    # each positive root's support bits and height
+    sizes = [(sum(1 << i for i, x in enumerate(m) if x), sum(m)) for m in roots.values()]
     counts = [0] * (K + 1)
     for zeros, per in tally.items():
         # |W| / |W_J|: the product over the positive roots off J
         num = den = 1
-        for support, height in roots.values():
+        for support, height in sizes:
             if support & ~zeros:
                 num *= height + 1
                 den *= height
         for k, n in enumerate(per):
             counts[k] += num // den * n
-    return LengthCensus(spec, K, tuple(counts))
+    return LengthCensus(_spec(ltype, simple, roots), K, tuple(counts))
 
 
 def recover_coordinator(census: LengthCensus) -> Polynomial:

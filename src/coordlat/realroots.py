@@ -1010,6 +1010,8 @@ def refine_bracket(b: TrigBracket | Interval, p: Polynomial, width: Fraction) ->
     for its own p holds one root, and _pick_cells reads the final cell
     off Newton on the window function.
     """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
     iv = b.x_interval if isinstance(b, TrigBracket) else b
     width = Fraction(width)
     if width <= 0:

@@ -1,4 +1,5 @@
 """Generator tables, BFS census, orbit count, and coordinator recovery."""
+import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,7 @@ from coordlat.latticeenum import (
     recover_coordinator,
     save_generator_table,
 )
-from coordlat.latticeenum import _span_rank
+from coordlat.latticeenum import _SIMPLE_ROOTS, _root_system, _span_rank
 
 
 def lt(tag, n=None):
@@ -122,6 +123,27 @@ def test_root_counts(t):
     want = {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n, "D": 2 * n * (n - 1),
             "G2": 12, "F4": 48, "E6": 72, "E7": 126, "E8": 240}[t.tag]
     assert len(lattice_spec(t, allow_expensive=True).generators) == want
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_closure_carries_simple_root_coordinates(t):
+    # each positive root is sum m_i alpha_i with m >= 0; Macdonald's
+    # product of (ht + 1) / ht over them is |W|, and for an irreducible
+    # type the highest root has height h - 1, h the Coxeter number
+    simple = _SIMPLE_ROOTS[t.tag](t.rank)
+    roots = _root_system(simple)
+    for v, m in roots.items():
+        assert len(m) == t.rank and all(type(x) is int and x >= 0 for x in m), (v, m)
+        assert v == tuple(sum(x * a[k] for x, a in zip(m, simple)) for k in range(len(v)))
+    n, f = t.rank, math.factorial(t.rank)
+    order = {"A": (n + 1) * f, "B": 2**n * f, "C": 2**n * f, "D": 2 ** (n - 1) * f,
+             "G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}[t.tag]
+    heights = [sum(m) for m in roots.values()]
+    assert math.prod(Fraction(h + 1, h) for h in heights) == order
+    if t != lt("D", 2):
+        coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2,
+                   "G2": 6, "F4": 12, "E6": 12, "E7": 18, "E8": 30}[t.tag]
+        assert max(heights) == coxeter - 1
 
 
 def test_declared_ranks_match_span():

@@ -1059,12 +1059,13 @@ def test_distinct_count_never_exceeds_degree(cs):
         (lambda: count_real_roots(poly([])), "zero polynomial"),
         (lambda: is_real_rooted(poly([])), "zero polynomial"),
         (lambda: isolate_real_roots(poly([])), "zero polynomial"),
+        (lambda: refine_bracket(Interval(0, 1), poly([]), Fraction(1, 4)), "zero polynomial"),
         (lambda: TrigBracket(0, 0.0, 1.0, 1.0, 1.0, Interval(-2, -1)),
          "window value at phi_hi has the wrong sign (j=0)"),
         (lambda: TrigBracket(0, 0.0, 1.0, 1.0, -1.0, Interval(-1, 0)), "bracket endpoints must be negative"),
     ],
     ids=["empty_interval", "constant_chain", "count_zero", "real_rooted_zero", "isolate_zero",
-         "bracket_sign", "bracket_endpoint"],
+         "refine_zero", "bracket_sign", "bracket_endpoint"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError) as err:
