@@ -209,6 +209,12 @@ def _int_primitive(c: list[int]) -> list[int]:
     return [v // g for v in c] if g > 1 else c
 
 
+def _int_positive(c: list[int]) -> list[int]:
+    """c made primitive, with positive leading coefficient."""
+    c = _int_primitive(c)
+    return c if c[-1] > 0 else [-x for x in c]
+
+
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of a by b, scaled to a positive multiple of rem(a, b).
 
@@ -247,11 +253,18 @@ def _int_prs(a: list[int], b: list[int]) -> list[list[int]]:
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of integer polynomials, positive leading coefficient."""
-    if not b:  # the chain of (a, 0) would end at 0
-        g = _int_primitive(list(a))
-    else:
-        g = _int_prs(_int_primitive(a), _int_primitive(b))[-1]
-    return [-x for x in g] if g and g[-1] < 0 else g
+    return _int_positive(_int_prs(a, b)[-1] if b else a)  # the chain of (a, 0) would end at 0
+
+
+def _int_sturm(c: list[int]) -> tuple[list[list[int]], list[int]]:
+    """(chain, g): the remainder sequence of c and c', and g = gcd(c, c'), [1] if c is squarefree.
+
+    c and g are primitive with positive leading coefficients.  Each entry
+    divided by g gives a Sturm chain of c / g (Basu, Pollack & Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2).
+    """
+    chain = _int_prs(c, _int_derivative(c))
+    return chain, _int_positive(chain[-1])
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
@@ -365,19 +378,6 @@ def _squarefree_mod_prime(c: list[int], q: int = _SQF_PRIME) -> bool:
     return _gf_squarefree(_palindrome_half(a, q), q)
 
 
-def _int_squarefree_part(c: list[int]) -> list[int]:
-    """Squarefree part p / gcd(p, p'), Yun's first quotient, for p's primitive integers c.
-
-    Primitive with positive leading coefficient; c itself when the modular
-    certificate proves it squarefree, else one integer gcd, never a full Yun.
-    """
-    if c[-1] < 0:
-        c = [-x for x in c]
-    if _squarefree_mod_prime(c):
-        return c
-    return _int_exact_div(c, _int_gcd(c, _int_derivative(c)))
-
-
 def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...]:
     """Yun decomposition: pairwise-coprime squarefree factors with multiplicities.
 
@@ -391,9 +391,7 @@ def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    c = list(primitive_integer_coeffs(p))
-    if c[-1] < 0:
-        c = [-x for x in c]
+    c = _int_positive(list(primitive_integer_coeffs(p)))
     if len(c) == 1:
         return ()
     if _squarefree_mod_prime(c):
@@ -403,12 +401,10 @@ def squarefree_decomposition(p: Polynomial) -> tuple[tuple[Polynomial, int], ...
 
 def _yun(c: list[int]) -> tuple[tuple[Polynomial, int], ...]:
     """Yun's algorithm over integer gcds; c is primitive, positive leading."""
-    g = _int_gcd(c, _int_derivative(c))
-    if len(g) == 1:
-        return ((poly(c), 1),)
+    chain, g = _int_sturm(c)
     factors: list[tuple[Polynomial, int]] = []
-    w = _int_exact_div(c, g)
-    y = _int_exact_div(_int_derivative(c), g)
+    w = _int_exact_div(chain[0], g)
+    y = _int_exact_div(chain[1], g)
     m = 1
     while len(w) > 1:
         dw = _int_derivative(w)

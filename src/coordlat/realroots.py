@@ -23,9 +23,9 @@ Pellet's test (Rouche) in a disc off the real axis, on a few exact
 Gaussian-integer Taylor coefficients and an integer bound on the rest
 (_root_disc).  Only when r + 2m is the degree does the ladder certify.
 
-Every other polynomial is counted with a Sturm chain of its squarefree
-part p / gcd(p, p'): a primitive pseudo-remainder sequence, each element
-a positive multiple of the textbook one, so sign variations are unchanged.
+Every other polynomial is counted with one primitive pseudo-remainder
+sequence of p and p', which ends at g = gcd(p, p'): divided by g, it is
+a Sturm chain of p / g, with the signs of the textbook one.
 
 Isolation returns the cells that bisection on these counts ends in,
 from the bound 1 + max|c_k| / |c_d|, a one-root cell bisected on signs
@@ -60,9 +60,9 @@ from typing import Callable, Iterator
 from .coordinator import _CLOSED_FORMS, MIN_RANK
 from .exactpoly import (
     Polynomial,
-    _int_derivative,
-    _int_prs,
-    _int_squarefree_part,
+    _int_exact_div,
+    _int_positive,
+    _int_sturm,
     poly,
     primitive_integer_coeffs,
     squarefree_decomposition,
@@ -293,16 +293,16 @@ def _var_at_infinity(chain: list[list[int]], positive: bool) -> int:
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
-    """Sturm chain of the squarefree part of p, p / gcd(p, p').
+    """Sturm chain of the squarefree part p / g of p, g = gcd(p, p').
 
-    Remainder elements are reduced to primitive integer coefficients; a
-    positive scaling never moves a sign, so variation counts match the
-    unreduced chain.
+    The signed remainder sequence of p and p', each element divided by g
+    and reduced to primitive integer coefficients: for squarefree p the
+    textbook chain, as a positive scaling never moves a sign.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("sturm_chain needs degree >= 1")
-    sf = _int_squarefree_part(list(primitive_integer_coeffs(p)))
-    return SturmChain(tuple(poly(c) for c in _int_prs(sf, _int_derivative(sf))))
+    chain, g = _int_sturm(_int_positive(list(primitive_integer_coeffs(p))))
+    return SturmChain(tuple(poly(_int_exact_div(f, g)) for f in chain))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +665,7 @@ def _certificate(c: _Coeffs) -> tuple[list[tuple[int, int]] | None, _Guesses]:
 
 
 class _SturmCounter:
-    """N(x) = V(x) - V(+inf) on a signed remainder chain of squarefree c."""
+    """N(x) = V(x) - V(+inf) on a Sturm chain of squarefree c, from _int_sturm."""
 
     def __init__(self, chain: list[_Coeffs]):
         self.chain = chain
@@ -699,18 +699,21 @@ class _LadderCounter:
 def _counter(p: Polynomial) -> tuple[_Coeffs, _SturmCounter | _LadderCounter, _Guesses]:
     """(c, root counter of c, float root guesses), c squarefree with p's roots.
 
-    c is p's primitive coefficients when their ladder closes, which proves
-    them squarefree, and else p / gcd(p, p'), on its own ladder or Sturm;
-    on input already squarefree, that part costs one modular test.
+    c is p's primitive coefficients, made positive, when their ladder closes,
+    which proves them squarefree; else c / gcd(c, c'), on its own ladder or on
+    the Sturm chain that the same remainder sequence gives (_int_sturm).
     """
-    c = _Coeffs(primitive_integer_coeffs(p))
+    c = _Coeffs(_int_positive(list(primitive_integer_coeffs(p))))
     rungs, guesses = _certificate(c)
-    if rungs is None and (sf := _int_squarefree_part(c)) != c:
-        c = _Coeffs(sf)
-        rungs, guesses = _certificate(c)
+    if rungs is None:
+        chain, g = _int_sturm(c)
+        if len(g) > 1:
+            c = _Coeffs(_int_exact_div(c, g))
+            rungs, guesses = _certificate(c)
     if rungs is not None:
         return c, _LadderCounter(rungs), guesses
-    return c, _SturmCounter([_Coeffs(f) for f in _int_prs(c, _int_derivative(c))]), guesses
+    rest = chain[1:] if len(g) == 1 else (_int_exact_div(f, g) for f in chain[1:])
+    return c, _SturmCounter([c, *map(_Coeffs, rest)]), guesses
 
 
 def _on_grid(c: list[int], iv: Interval) -> tuple[_Coeffs, int, int, int, int]:
@@ -752,9 +755,10 @@ def count_real_roots(p: Polynomial, interval: Interval | None = None) -> int:
 def is_real_rooted(p: Polynomial) -> RootReport:
     """Decide whether every root of p is real, counting multiplicities.
 
-    Each squarefree factor is counted by its certificate (a ladder, plus
-    Pellet discs for type B) or, failing that, its Sturm chain; p is
-    real-rooted when the multiplicity-weighted count reaches the degree.
+    Each factor of squarefree_decomposition, squarefree as it stands, is
+    counted by its certificate (a ladder, plus Pellet discs for type B)
+    or else by one remainder sequence, its Sturm chain; p is real-rooted
+    when the multiplicity-weighted count reaches the degree.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -900,8 +904,8 @@ def isolate_real_roots(
     The cells of bisection on root counts (ladder or Sturm) from the
     bound 1 + max|a_k| / |a_d|, midpoints nudged off the roots, then on
     signs alone down to at most the width.  A closed form's root guesses
-    pick them directly (_pick_cells) unless a check fails.  Input that
-    no ladder proves squarefree is reduced to its squarefree part.
+    pick them directly (_pick_cells) unless a check fails.  Without a
+    ladder, p / gcd(p, p') and its Sturm chain come from one sequence.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")

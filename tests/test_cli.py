@@ -375,19 +375,27 @@ def test_negative_memory_budget_exit(capsys):
     assert err == "error: memory budget must be >= 0 MiB, got -5\n"
 
 
-def test_console_script_subprocess():
-    # the child does not see pytest's pythonpath setting, so hand it src
+def run_child(*argv):
+    """A fresh interpreter on argv; it does not see pytest's pythonpath setting, so hand it src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coordlat.cli", "gen", "--type", "D", "--n", "4", "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_script_subprocess():
+    proc = run_child("-m", "coordlat.cli", "gen", "--type", "D", "--n", "4", "--format", "json")
     assert proc.returncode == 0
     assert proc.stdout == '{"type":"D","n":4,"coeffs":["1","20","54","20","1"]}\n'
+
+
+def test_import_loads_no_undeclared_dependency():
+    # pyproject.toml declares no dependencies, so the package and its CLI
+    # must import without numpy or mpmath, even where both are installed
+    code = "import sys, coordlat, coordlat.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # Exit code and exact stdout of each subcommand in each format.  The

@@ -344,6 +344,16 @@ def squarefree_part_reference(p):
     return _positive_primitive(math.prod((f for f, _ in squarefree_decomposition(p)), start=ONE))
 
 
+def sturm_quotient(p):
+    """c / g from _int_sturm(c), c the positive primitive coefficients of p; and g."""
+    c = _positive_primitive(p)
+    chain, g = exactpoly._int_sturm(c)
+    # the sequence starts at c and c' and ends at a constant times g
+    assert chain[:2] == [c, exactpoly._int_derivative(c)]
+    assert len(exactpoly._int_exact_div(chain[-1], g)) == 1
+    return exactpoly._int_exact_div(c, g), g
+
+
 Q_SQUARE = poly([-exactpoly._SQF_PRIME, 0, 1])  # x^2 - q, x^2 modulo q
 factor_powers = st.lists(
     st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(poly), st.integers(1, 3)),
@@ -363,21 +373,20 @@ scales = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool
 @example(poly([1, 1]) ** 3 * poly([-2, 1]) ** 2, Fraction(5, 3))
 def test_squarefree_part_is_the_product_of_yun_factors(p, scale):
     p = p.scale(scale)
-    c = list(primitive_integer_coeffs(p))
     want = squarefree_part_reference(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactpoly, "_yun", None)
-        sf = exactpoly._int_squarefree_part(c)
-    assert sf == want and sf[-1] > 0
-    if c[-1] > 0 and exactpoly._squarefree_mod_prime(c):
-        assert sf is c
+        sf, g = sturm_quotient(p)
+    assert sf == want and sf[-1] > 0 and g[-1] > 0
+    if exactpoly._squarefree_mod_prime(_positive_primitive(p)):
+        assert (sf, g) == (_positive_primitive(p), [1])
 
 
 def test_squarefree_part_of_known_polynomials():
-    assert exactpoly._int_squarefree_part([0, 0, -1, 1]) == [0, -1, 1]
-    assert exactpoly._int_squarefree_part([2, 0, -1]) == [-2, 0, 1]
+    assert sturm_quotient(poly([0, 0, -1, 1])) == ([0, -1, 1], [0, 1])
+    assert sturm_quotient(poly([2, 0, -1])) == ([-2, 0, 1], [1])
     q = exactpoly._SQF_PRIME
-    assert exactpoly._int_squarefree_part([q**2, 0, -2 * q, 0, 1]) == [-q, 0, 1]
+    assert sturm_quotient(poly([q**2, 0, -2 * q, 0, 1])) == ([-q, 0, 1], [-q, 0, 1])
 
 
 # palindromes: products of x^2 - y x + 1, whose roots pair x with 1/x

@@ -190,7 +190,7 @@ def test_bracket_ladder_rank_three():
 
 def test_bracket_count_matches_sturm_count():
     # count_real_roots reads a D closed form off its ladder, so the
-    # Sturm counts come from sturm_chain itself
+    # Sturm counts come from the reference chain
     for n in (3, 4, 5, 8, 13):
         brs = d_type_brackets(n)
         h = h_of("D", n)
@@ -227,8 +227,9 @@ def test_margin_is_enforced_as_given():
 
 
 # Reference: the Fraction bisection of an earlier version, counting roots
-# with the public Sturm chain and signs at Fraction points.  It shares no
-# code with the dyadic kernel it checks.
+# with a textbook Sturm chain of the squarefree part, both built here by
+# long division in integers, and signs at Fraction points.  It shares no
+# code with the dyadic kernel, nor with the remainder sequence, it checks.
 
 
 def ref_sign(c, r):
@@ -246,11 +247,58 @@ def variations(signs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-class RefSturm:
-    """N(x), the number of distinct roots above x, from sturm_chain(p)."""
+def ref_divmod(a, b, scale=1):
+    """(q, r) with scale a = q b + r, by long division whose every step divides exactly."""
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    r = [scale * x for x in a]
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        q[k], rest = divmod(r[-1], b[-1])
+        assert rest == 0
+        for i, v in enumerate(b):
+            r[k + i] -= q[k] * v
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
 
-    def __init__(self, p):
-        self.chain = [list(primitive_integer_coeffs(f)) for f in sturm_chain(p).chain]
+
+def ref_primitive(c):
+    """c over its content, with positive leading coefficient."""
+    g = math.gcd(*c) if c[-1] > 0 else -math.gcd(*c)
+    return [x // g for x in c]
+
+
+def ref_chain(c):
+    """Textbook Sturm chain c, c', -rem, ..., each a positive multiple of the classical one.
+
+    |lb|^(da - db + 1) a is divisible by b step by step in integers
+    (pseudo-division), and its remainder is a positive multiple of rem(a, b).
+    """
+    chain = [c, [k * c[k] for k in range(1, len(c))]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = ref_divmod(a, b, abs(b[-1]) ** (len(a) - len(b) + 1))[1]
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append([-x // g for x in r])
+    return chain
+
+
+def ref_squarefree_part(p):
+    """p / gcd(p, p'), primitive with positive leading coefficient; the gcd ends p's chain."""
+    c = ref_primitive(list(primitive_integer_coeffs(p)))
+    return ref_primitive(ref_divmod(c, ref_primitive(ref_chain(c)[-1]))[0])
+
+
+class RefSturm:
+    """N(x), the number of distinct roots above x, from an integer Sturm chain.
+
+    By default the chain is the textbook one of p's squarefree part.
+    """
+
+    def __init__(self, p, chain=None):
+        self.chain = ref_chain(ref_squarefree_part(p)) if chain is None else chain
         self.top = variations([(f[-1] > 0) - (f[-1] < 0) for f in self.chain])
         bottom = [((f[-1] > 0) - (f[-1] < 0)) * (-1) ** (len(f) - 1) for f in self.chain]
         self.total = variations(bottom) - self.top
@@ -290,8 +338,8 @@ def ref_refine(iv, p, width):
 
 
 def sturm_only_intervals(p, width=Fraction(1, 64)):
-    c = exactpoly._int_squarefree_part(list(primitive_integer_coeffs(p)))
     counter = RefSturm(p)
+    c = counter.chain[0]
     bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) + 1
     lo, hi = Fraction(-bound), Fraction(bound)
     found = []
@@ -380,34 +428,44 @@ def test_non_closed_forms_take_sturm():
 
 def test_closed_forms_are_counted_without_a_squarefree_part(monkeypatch):
     # a closing ladder proves the closed form squarefree, so neither
-    # counting nor isolation takes its squarefree part
+    # counting nor isolation runs a remainder sequence, for h or for -h
     calls = []
-    part = realroots._int_squarefree_part
-    monkeypatch.setattr(realroots, "_int_squarefree_part", lambda c: calls.append(c) or part(c))
+    prs = exactpoly._int_prs
+    monkeypatch.setattr(exactpoly, "_int_prs", lambda a, b: calls.append(a) or prs(a, b))
     for tag in "ABCD":
         for n in (*range(3 if tag == "D" else 1, 13), 36):
-            h = h_of(tag, n)
-            assert count_real_roots(h) == len(isolate_real_roots(h)) == is_real_rooted(h).distinct_real
+            for h in (h_of(tag, n), -h_of(tag, n)):
+                assert count_real_roots(h) == len(isolate_real_roots(h)) == is_real_rooted(h).distinct_real
     assert calls == []
+    # one sequence gives a product both its squarefree part and its chain
     prod = h_of("A", 3) * h_of("C", 2)
     assert count_real_roots(prod) == 5
     assert calls == [list(primitive_integer_coeffs(prod))]
+    # and a power of a closed form the gcd, whose quotient takes the ladder
+    for p in (h_of("D", 2), h_of("A", 20) ** 2, -h_of("D", 12) ** 3):
+        calls.clear()
+        assert isinstance(realroots._counter(p)[1], realroots._LadderCounter)
+        assert len(calls) == 1
 
 
 def test_squarefree_part_takes_one_gcd_and_no_yun(monkeypatch):
-    # the squarefree part is p / gcd(p, p'), so a repeated factor costs
-    # one integer gcd, and a factor Yun already split is not split again
-    yuns, gcds = [], []
-    yun, gcd = exactpoly._yun, exactpoly._int_gcd
+    # the squarefree part is p / gcd(p, p'), and the remainder sequence
+    # of p and p' that ends at the gcd also gives its Sturm chain: a
+    # repeated factor costs one sequence per call, and no Yun
+    yuns, seqs = [], []
+    yun, prs = exactpoly._yun, exactpoly._int_prs
     monkeypatch.setattr(exactpoly, "_yun", lambda c: yuns.append(c) or yun(c))
-    monkeypatch.setattr(exactpoly, "_int_gcd", lambda a, b: gcds.append(a) or gcd(a, b))
+    monkeypatch.setattr(exactpoly, "_int_prs", lambda a, b: seqs.append(a) or prs(a, b))
     p = h_of("A", 5) ** 2 * h_of("C", 3)  # both odd palindromes, sharing x = -1
-    assert count_real_roots(p) == len(isolate_real_roots(p)) == 7
-    assert (len(yuns), len(gcds)) == (0, 2)
-    # x^2 - q is x^2 modulo q: its decomposition runs Yun once, and its
-    # count one gcd, not a second Yun
+    assert count_real_roots(p) == 7
+    assert (len(yuns), len(seqs)) == (0, 1)
+    assert len(isolate_real_roots(p)) == 7
+    assert (len(yuns), len(seqs)) == (0, 2)
+    # x^2 - q is x^2 modulo q: its decomposition runs Yun once, on one
+    # sequence, and its count one more sequence, not a second Yun
+    seqs.clear()
     assert is_real_rooted(poly([-exactpoly._SQF_PRIME, 0, 1])) == RootReport(2, 2, 2, True)
-    assert len(yuns) == 1
+    assert (len(yuns), len(seqs)) == (1, 2)
 
 
 def test_dyadic_ladder_keeps_the_fraction_rungs():
@@ -777,36 +835,48 @@ def test_nudge_steps_off_three_grid_roots():
 
 @given(
     st.lists(
-        st.tuples(st.integers(0, 5), st.integers(-40, 40)),
+        st.tuples(st.integers(0, 5), st.integers(-40, 40), st.integers(1, 3)),
         min_size=1,
         max_size=5,
-        unique_by=dyadic,
+        unique_by=lambda f: dyadic(f[:2]),
     ),
     st.sampled_from(WIDTHS),
+    st.sampled_from([1, -1]),
 )
 @settings(max_examples=60, deadline=None)
-def test_dyadic_roots_match_the_fraction_reference(factors, width):
+def test_dyadic_roots_match_the_fraction_reference(factors, width, sign):
     # roots b / 2^a sit on the bisection grid of [-bound, bound] whenever
     # the odd part of the bound divides b, so midpoints hit them and the
-    # splits are nudged
-    p = poly([1])
-    for a, b in factors:
-        p = p * poly([-b, 2**a])
-    roots = sorted(map(dyadic, factors))
+    # splits are nudged; each is a root of multiplicity m
+    p = poly([sign])
+    for a, b, m in factors:
+        p = p * poly([-b, 2**a]) ** m
+    roots = sorted(dyadic(f[:2]) for f in factors)
     ivs = sturm_only_intervals(p, width)
     assert isolate_real_roots(p, width) == ivs
     assert count_real_roots(p) == len(roots)
-    # closed intervals with roots, dyadic and non-dyadic points as ends
+    assert is_real_rooted(p) == RootReport(p.degree, len(roots), p.degree, True)
+    # closed intervals with roots, dyadic and non-dyadic points as ends;
+    # sturm_chain, p's sequence over gcd(p, p'), counts as the textbook chain
+    ref = RefSturm(p)
+    lib = RefSturm(p, [list(primitive_integer_coeffs(f)) for f in sturm_chain(p).chain])
+    assert lib.total == ref.total == len(roots)
     ends = sorted({x + d for x in roots for d in (0, Fraction(1, 3), Fraction(-1, 4))})
+    assert [lib.above(x) for x in ends] == [ref.above(x) for x in ends]
     for lo in ends:
         for hi in ends:
             if lo < hi:
                 iv = Interval(lo, hi)
                 assert count_real_roots(p, iv) == sturm_only_count(p, iv)
-    # windows around 1 and 3 roots; a plain interval is always bisected
+    # windows around 1 and 3 roots; a plain interval is always bisected,
+    # and one whose roots have an even multiplicity in all has no sign change
     for k in (0, 2):
         for i in range(len(ivs) - k):
             window = Interval(ivs[i].lo, ivs[i + k].hi)
+            if sum(m for a, b, m in factors if dyadic((a, b)) in window) % 2 == 0:
+                with pytest.raises(ValueError):
+                    refine_bracket(window, p, width / 16)
+                continue
             want = ref_refine(window, p, width / 16)
             assert refine_bracket(window, p, width / 16) == want
 
@@ -1028,17 +1098,30 @@ def test_bracket_validates_sign_pattern():
         )
 
 
-@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=4, unique_by=lambda f: f[0]
+    ),
+    st.sampled_from([1, -1]),
+)
 @settings(max_examples=40, deadline=None)
-def test_known_roots_are_counted_and_isolated(roots):
-    p = poly([1])
-    for r in roots:
-        p = p * poly([-r, 1])
+def test_known_roots_are_counted_and_isolated(factors, sign):
+    p = poly([sign])
+    for r, m in factors:
+        p = p * poly([-r, 1]) ** m
+    roots = sorted(r for r, _ in factors)
     assert count_real_roots(p) == len(roots)
     ivs = isolate_real_roots(p, Fraction(1, 4))
     assert len(ivs) == len(roots)
-    for r, iv in zip(sorted(roots), ivs):
+    for r, iv in zip(roots, ivs):
         assert iv.lo <= r <= iv.hi
+    # closed intervals whose ends are the roots, or half a step off them
+    ends = sorted({r + d for r in roots for d in (0, Fraction(1, 2), Fraction(-1, 2))})
+    for lo in ends:
+        for hi in ends:
+            if lo < hi:
+                want = sum(lo <= r <= hi for r in roots)
+                assert count_real_roots(p, Interval(lo, hi)) == want
 
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6))
@@ -1221,14 +1304,14 @@ B_NON_REAL = {15: 0, 16: 2, 38: 2, 39: 4, 69: 4, 70: 6,
 def test_type_b_non_real_counts_step_at_their_thresholds(monkeypatch):
     # every count comes from a ladder and Pellet discs that close: a
     # Sturm chain, or Yun's integer gcds, would build a remainder sequence
-    # of degree up to 588, so the spies fail on the first call instead
+    # of degree up to 588, so the spy fails on the first call instead
     calls = []
 
     def no_prs(a, b):
         calls.append(a)
         raise AssertionError(f"remainder sequence built at degree {len(a) - 1}")
 
-    monkeypatch.setattr(realroots, "_int_prs", no_prs)
+    assert not hasattr(realroots, "_int_prs")  # so this binding is the only one
     monkeypatch.setattr(exactpoly, "_int_prs", no_prs)
     for n, non_real in B_NON_REAL.items():
         rep = is_real_rooted(h_of("B", n))
