@@ -5,12 +5,12 @@ Every count is certified exactly, by one of two devices.
 A ladder is a decreasing list of r+1 rationals at which a polynomial
 takes exact, strictly alternating signs (Horner in integers); r sign
 changes prove r distinct real roots, one between adjacent rungs.  The
-closed forms of types A, C and D come with float separators:
--tan^2(j pi / 2n) for C and D, and (t-1)/(t+1) at t = cos(k pi / (n + 1/2))
-for A, from h_A(x) = (1-x)^n P_n((1+x)/(1-x)) and Szego's interlacing of
-the Legendre zeros.  Floats only pick the rungs: each is rounded to the
-grid 2^-32 (for the printed D brackets, to denominators at most 2^32),
-and a rung whose exact sign fails sends the polynomial to Sturm.
+closed forms of types A, C and D share one list of float separators,
+-tan^2(j pi / 2n): for A from h_A(x) = (1-x)^n P_n((1+x)/(1-x)) and
+Szego's bounds on the Legendre zeros.  Floats only pick the rungs: the
+caller rounds each to the grid 2^-32 (for the printed D brackets, to
+denominators at most 2^32), _rungs checks them as integer pairs, and a
+rung whose exact sign fails sends the polynomial to Sturm.
 
 Type B has complex roots from rank 16 on, so its ladder is paired with
 root discs.  Under x = -tan^2(theta) h_B is a positive multiple of
@@ -29,10 +29,12 @@ a Sturm chain of p / g, with the signs of the textbook one.
 
 Isolation returns the cells that bisection on these counts ends in,
 from the bound 1 + max|c_k| / |c_d|, a one-root cell bisected on signs
-alone.  Every point is dyadic, n / 2^e, and _sign_at takes the exact
-sign of 2^(e d) c(n / 2^e) in two passes.  Float Horner at x = n / 2^e,
-or on the reversed coefficients at 1 / x when |x| > 1, decides when
-its value clears (6d + 8) 2^-53 sum |c_k x^k|, a proven bound on its
+alone.  A count that grows to the right, or two roots in a cell
+narrower than Mahler's root separation bound, raises RuntimeError.
+Every point is dyadic, n / 2^e, and _sign_at takes the exact sign of
+2^(e d) c(n / 2^e) in two passes.  Float Horner at x = n / 2^e, or on
+the reversed coefficients at 1 / x when |x| > 1, decides when its
+value clears (6d + 8) 2^-53 sum |c_k x^k|, a proven bound on its
 rounding error (Higham, section 5.1).  Exact Horner with shifts
 decides the rest, roots among them.  Each certificate also gives float
 roots (Legendre Newton for A, Newton on g for B, exactly for C, Newton
@@ -310,20 +312,15 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 # ---------------------------------------------------------------------------
 
 
-def _rungs(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[tuple[int, int]]:
+def _rungs(c: _Coeffs, inner: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Exact ladder for c, positive leading coefficient and c(0) > 0, as integer pairs.
 
-    The rungs are -1/2^40, the n-1 float separators (decreasing, rounded
-    to the grid 2^-32, or with dyadic=False to denominators at most
-    2^32), and -(1 + max|c_k|), below every root when the leading
-    coefficient is 1.  Raises BracketingError unless sign(c(rung j)) is
-    exactly (-1)^j and the rungs decrease, both checked on the rungs'
-    (numerator, denominator) pairs.
+    The rungs are -1/2^40, the n-1 inner rungs (numerator, denominator),
+    which the caller has rounded from float separators, and
+    -(1 + max|c_k|), below every root when the leading coefficient is 1.
+    Raises BracketingError unless sign(c(rung j)) is exactly (-1)^j and
+    the rungs decrease, both checked on the integer pairs.
     """
-    if dyadic:
-        inner = [(round(t * 2**32), 1 << 32) for t in separators]
-    else:
-        inner = [Fraction(t).limit_denominator(2**32).as_integer_ratio() for t in separators]
     pairs = [(-1, 1 << 40), *inner, (-(1 + max(abs(v) for v in c)), 1)]
     for j, (p, q) in enumerate(pairs):
         if _rational_sign(c, p, q) != (-1) ** j:
@@ -333,30 +330,20 @@ def _rungs(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[tup
     return pairs
 
 
-def _ladder(c: _Coeffs, separators: list[float], dyadic: bool = True) -> list[Fraction]:
-    """The rungs of _rungs as Fractions, for the printed brackets."""
-    return [Fraction(p, q) for p, q in _rungs(c, separators, dyadic)]
-
-
 def _tan_separators(n: int) -> list[float]:
-    """-tan^2(j pi / 2n), j = 1..n-1: between the roots of h_C and of h_D.
+    """-tan^2(j pi / 2n), j = 1..n-1: between the roots of h_A, h_C and h_D.
 
     h_C(-tan^2 u) is a positive multiple of cos(2n u), so its roots
     sit at u = (2k+1) pi / 4n, midway between these nodes; for h_D the
-    node signs are those of the window function in trig_values.
+    node signs are those of the window function in trig_values.  The
+    roots of h_A are -tan^2(theta_k / 2), cos(theta_k) the zeros of the
+    Legendre polynomial P_n, and theta_k / 2 lies strictly between
+    (k - 1/2) pi / (2n + 1) and k pi / (2n + 1) (Szego, Orthogonal
+    Polynomials, Thm 6.21.2).  Node j pi / 2n is above j pi / (2n + 1)
+    and, as j < n, below (j + 1/2) pi / (2n + 1): between the j-th and
+    the (j+1)-th root.
     """
     return [-math.tan(j * math.pi / (2 * n)) ** 2 for j in range(1, n)]
-
-
-def _legendre_separators(n: int) -> list[float]:
-    """(t-1)/(t+1) at t = cos(k pi / (n + 1/2)), k = 1..n-1: between the roots of h_A.
-
-    The k-th Legendre zero cos(theta_k) has theta_k strictly between
-    (k - 1/2) pi / (n + 1/2) and k pi / (n + 1/2) (Szego, Orthogonal
-    Polynomials, Thm 6.21.2), and t -> (t-1)/(t+1) is increasing.
-    """
-    ts = [math.cos(k * math.pi / (n + 0.5)) for k in range(1, n)]
-    return [(t - 1) / (t + 1) for t in ts]
 
 
 def _legendre_roots(n: int) -> list[float]:
@@ -620,16 +607,16 @@ def _b_certificate(c: list[int]) -> tuple[list[float], list[_Disc], _Guesses]:
     return separators, discs if _disjoint(discs) else [], real
 
 
-def _ladder_only(separators: Callable[[int], list[float]], roots: Callable[[int], list[float]]):
-    return lambda c: (separators(len(c) - 1), [], lambda: roots(len(c) - 1))
+def _ladder_only(roots: Callable[[int], list[float]]):
+    return lambda c: (_tan_separators(len(c) - 1), [], lambda: roots(len(c) - 1))
 
 
 # per family: float separators for the real roots, exact discs for the
 # others, and float root guesses; B1 = A1 and B2 = C2 keep the plain ladders
 _CERTIFICATES = {
-    "A": _ladder_only(_legendre_separators, _legendre_roots),
-    "C": _ladder_only(_tan_separators, _c_roots),
-    "D": _ladder_only(_tan_separators, lambda n: _d_roots(n)),
+    "A": _ladder_only(_legendre_roots),
+    "C": _ladder_only(_c_roots),
+    "D": _ladder_only(lambda n: _d_roots(n)),
     "B": _b_certificate,
 }
 
@@ -642,6 +629,7 @@ def _closed_form(tag: str, n: int) -> tuple[int, ...]:
 def _certificate(c: _Coeffs) -> tuple[list[tuple[int, int]] | None, _Guesses]:
     """(ladder or None, float root guesses) of c; a ladder for a closed form whose count closes.
 
+    The separators are rounded to the grid 2^-32 and checked by _rungs.
     The r + 1 rungs prove r distinct real roots and the m discs 2m
     non-real ones; when r + 2m is the degree, each ladder window holds
     exactly one root, no real root lies outside the ladder, and c is
@@ -651,9 +639,10 @@ def _certificate(c: _Coeffs) -> tuple[list[tuple[int, int]] | None, _Guesses]:
     for tag, certificate in _CERTIFICATES.items():
         if n >= MIN_RANK[tag] and _closed_form(tag, n) == tuple(c):
             separators, discs, guesses = certificate(c)
+            if len(separators) + 1 + 2 * len(discs) != n:
+                return None, guesses
             try:
-                closes = len(separators) + 1 + 2 * len(discs) == n
-                return (_rungs(c, separators) if closes else None), guesses
+                return _rungs(c, [(round(t * 2**32), 1 << 32) for t in separators]), guesses
             except BracketingError:
                 return None, guesses
     return None, list
@@ -797,6 +786,24 @@ def _nonroot_split(c: _Coeffs, a: int, b: int, e: int) -> tuple[int, int, int]:
         k += 1
 
 
+def _sep_bits(c: list[int]) -> int:
+    """L with every two roots of the squarefree integer polynomial c more than 2^-L apart.
+
+    Mahler (Michigan Math. J. 11, 1964): sep > sqrt(3) d^(-(d+2)/2)
+    ||c||_2^(1-d), and from bit lengths alone d < 2^b(d) and ||c||_2 <=
+    sqrt(d+1) max|c_k| < 2^(b(d+1)/2 + b(max|c_k|)), b the bit length.
+    """
+    d = len(c) - 1
+    top = max(abs(v) for v in c).bit_length()
+    return ((d + 2) * d.bit_length() + 1) // 2 + (d - 1) * (top + ((d + 1).bit_length() + 1) // 2)
+
+
+def _too_narrow(roots: int, width: int, e: int, sep: int) -> None:
+    """Raise when a cell of width / 2^e, no wider than 2^-sep, counts two or more roots."""
+    if roots > 1 and width << sep <= 1 << e:
+        raise RuntimeError(f"root counter puts {roots} roots in a cell narrower than their separation")
+
+
 def _bisect_sign(
     c: _Coeffs, a: int, b: int, e: int, s_a: int, wn: int, wd: int
 ) -> tuple[int, int, int]:
@@ -861,7 +868,8 @@ def _pick_cells(
         if i is None:
             return None
         d = t
-        while held(d, i) > 1:
+        while (k := held(d, i)) > 1:
+            _too_narrow(k, span, d, _sep_bits(c))
             d += 1
             i = min(max((num << d) // den, 2 * i), 2 * i + 1)
         if held(d, i) != 1 or not at(d, i)[0] or not at(d, i + 1)[0]:
@@ -875,8 +883,13 @@ def _pick_cells(
 def _bisect_cells(
     c: _Coeffs, a: int, b: int, wn: int, wd: int, counter: _SturmCounter | _LadderCounter
 ) -> list[tuple[int, int, int]]:
-    """Bisection of (a, b) on counter's root counts for squarefree c, then sign refinement."""
+    """Bisection of (a, b) on counter's root counts for squarefree c, then sign refinement.
+
+    A count that grows to the right, or two roots in a cell narrower than
+    _sep_bits allows, raises RuntimeError rather than splitting for ever.
+    """
     s_a = _sign_at(c, a)
+    sep = _sep_bits(c)
     found = []
     # (a, sign of c at a, N(a), b, N(b), e); no endpoint is a root
     stack = [(a, s_a, counter.above(a, 0, s_a), b, counter.above(b, 0, _sign_at(c, b)), 0)]
@@ -889,8 +902,11 @@ def _bisect_cells(
             # c is squarefree, so its one root here is a sign change
             found.append(_bisect_sign(c, a, b, e, sa, wn, wd))
             continue
+        _too_narrow(roots_here, b - a, e, sep)
         m, k, sm = _nonroot_split(c, a, b, e)
         nm = counter.above(m, e + k, sm)
+        if not na >= nm >= nb:
+            raise RuntimeError(f"root counter is not monotone: N = {na}, {nm}, {nb} left to right")
         stack.append((a << k, sa, na, m, nm, e + k))
         stack.append((m, sm, nm, b << k, nb, e + k))
     return found
@@ -964,8 +980,13 @@ def _d_roots(n: int) -> list[float]:
 
 @lru_cache(maxsize=64)
 def _d_ladder(n: int) -> tuple[Fraction, ...]:
-    """The certified ladder of the degree-n type D closed form, n >= 3, as printed."""
-    return tuple(_ladder(_Coeffs(_closed_form("D", n)), _tan_separators(n), dyadic=False))
+    """The certified ladder of the degree-n type D closed form, n >= 3, as printed.
+
+    The separators are rounded to denominators at most 2^32, not to the
+    certificate's grid 2^-32, and checked by _rungs.
+    """
+    inner = [Fraction(t).limit_denominator(2**32).as_integer_ratio() for t in _tan_separators(n)]
+    return tuple(Fraction(p, q) for p, q in _rungs(_Coeffs(_closed_form("D", n)), inner))
 
 
 def d_type_brackets(n: int, margin: float | None = None) -> tuple[TrigBracket, ...]:

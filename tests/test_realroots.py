@@ -436,6 +436,11 @@ def test_closed_forms_are_counted_without_a_squarefree_part(monkeypatch):
         for n in (*range(3 if tag == "D" else 1, 13), 36):
             for h in (h_of(tag, n), -h_of(tag, n)):
                 assert count_real_roots(h) == len(isolate_real_roots(h)) == is_real_rooted(h).distinct_real
+    # past rank 40 too: a ladder that does not close falls back to Sturm
+    # and keeps every count right, so only closure shows a wrong separator
+    for tag in "ACD":
+        for n in range(50, 201, 25):
+            assert ladder_of(realroots._closed_form(tag, n)) is not None, f"{tag}{n}"
     assert calls == []
     # one sequence gives a product both its squarefree part and its chain
     prod = h_of("A", 3) * h_of("C", 2)
@@ -468,27 +473,60 @@ def test_squarefree_part_takes_one_gcd_and_no_yun(monkeypatch):
     assert (len(yuns), len(seqs)) == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "miscount, error",
+    [(lambda k: 2 * k, "narrower than their separation"), (lambda k: 3 - k, "not monotone")],
+    ids=["twice", "reversed"],
+)
+def test_a_wrong_counter_raises_instead_of_splitting(monkeypatch, miscount, error):
+    # a counter that counts each root twice never reaches a one-root
+    # cell, and one that counts the wrong way never empties a cell: both
+    # must raise, on bisection (Sturm, for (x+1)(x+2)(x+3)) and on the
+    # picker's descent (the ladder of h_C6)
+    for cls, p in ((realroots._SturmCounter, poly([6, 11, 6, 1])), (realroots._LadderCounter, h_of("C", 6))):
+        above = cls.above
+        monkeypatch.setattr(cls, "above", lambda self, n, e, s: miscount(above(self, n, e, s)))
+        with pytest.raises(RuntimeError, match=error):
+            isolate_real_roots(p)
+
+
+def test_picking_on_an_exact_root_raises_on_a_counter_that_over_counts():
+    # a guess that is a root but no grid point keeps the picker's
+    # descent in that root's cell at every depth
+    c, counter, _ = realroots._counter(poly([6, 11, 6, 1]))
+    roots = [-1.0, -2.0, -3.0]
+    assert len(realroots._pick_cells(c, -13, 13, 1, 64, counter.above, roots)) == 3
+    with pytest.raises(RuntimeError, match="narrower than their separation"):
+        realroots._pick_cells(c, -13, 13, 1, 64, lambda n, e, s: 2 * counter.above(n, e, s), roots)
+
+
+def fractions(rungs):
+    return [Fraction(p, q) for p, q in rungs]
+
+
 def test_dyadic_ladder_keeps_the_fraction_rungs():
-    # rungs signed and ordered as integers, returned as the Fractions
+    # rungs signed and ordered as integers, read as the Fractions
     # -1/2^40, the separators on the grid 2^-32 and -(1 + max|c_k|)
     for tag in "ABCD":
         for n in range(3 if tag == "D" else 1, 31):
             c = realroots._Coeffs(primitive_integer_coeffs(h_of(tag, n)))
             seps = realroots._CERTIFICATES[tag](c)[0]
-            want = [Fraction(round(t * 2**32), 2**32) for t in seps]
-            want = [Fraction(-1, 2**40), *want, Fraction(-(1 + max(map(abs, c))))]
-            assert realroots._ladder(c, seps) == want, f"{tag}{n}"
+            grid = [(round(t * 2**32), 1 << 32) for t in seps]
+            want = [Fraction(-1, 2**40), *fractions(grid), Fraction(-(1 + max(map(abs, c))))]
+            assert fractions(realroots._rungs(c, grid)) == want, f"{tag}{n}"
+            assert realroots._certificate(c)[0] == realroots._rungs(c, grid), f"{tag}{n}"
 
 
 def test_ladder_rejects_a_wrong_sign_and_a_lost_order():
     c = realroots._Coeffs([6, 11, 6, 1])  # (x + 1)(x + 2)(x + 3)
-    assert realroots._ladder(c, [-1.5, -2.5])[1:] == [Fraction(-3, 2), Fraction(-5, 2), -12]
+    rungs = realroots._rungs(c, [(-3, 2), (-5, 2)])
+    assert fractions(rungs)[1:] == [Fraction(-3, 2), Fraction(-5, 2), -12]
     with pytest.raises(BracketingError, match="exact sign verification failed") as err:
-        realroots._ladder(c, [-2.5, -1.5])
+        realroots._rungs(c, [(-5, 2), (-3, 2)])
     assert (err.value.j, err.value.value) == (1, -2.5)
     # every rung has the sign its place asks for, but -1/2 is above -3/2
     with pytest.raises(BracketingError, match="lost strict monotonicity"):
-        realroots._ladder(c, [-1.5, -0.5])
+        realroots._rungs(c, [(-3, 2), (-1, 2)])
 
 
 def _ceil_sqrt(m):
