@@ -7,7 +7,7 @@ trigonometric bracketing for the type D family,
 coefficient diagnostics (log-concavity, unimodality, truncated total
 positivity), a brute-force word-length enumerator that cross-checks
 everything from the generator tables alone, and a word-length count on
-Weyl-group orbits that needs only a type's simple roots.
+Weyl-group orbits of a built-in irreducible type (`chamber_lengths`).
 """
 from .coordinator import (
     CoordinatorPolynomial,

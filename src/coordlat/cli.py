@@ -241,13 +241,13 @@ def _cmd_roots(args) -> tuple[str, int]:
     lt = _ltype(args)
     h = _poly_for(lt)
     intervals = [_ends(iv) for iv in isolate_real_roots(h, args.width)]
+    if args.format == "csv":
+        return _table(("lo", "hi"), intervals), 0
     brackets = []
     if lt.tag == "D" and lt.rank >= 3:
         for b in d_type_brackets(lt.rank):
             x = _ends(refine_bracket(b, h, args.width))
             brackets.append({"j": b.j, "phi": [_f12(b.phi_lo), _f12(b.phi_hi)], "x": x})
-    if args.format == "csv":
-        return _table(("lo", "hi"), intervals), 0
     if args.format == "json":
         return _render("json", lt, [("intervals", intervals), ("brackets", brackets)]), 0
     record = [("distinct_real", len(intervals))]

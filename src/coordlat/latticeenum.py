@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from operator import mul, neg
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .coordinator import CLOSED_FORM_TAGS, LatticeType, coordinator
 from .exactpoly import Polynomial, poly, series_expand
@@ -78,25 +78,32 @@ class ReconstructionError(ValueError):
     """Census counts are inconsistent with any coordinator polynomial."""
 
 
-def _span_rank(vectors: tuple[tuple[int, ...], ...]) -> int:
-    """Rank of the span over the rationals, by fraction-free elimination.
+def _row_reduce(vectors: Iterable[Sequence[int]]) -> dict[int, list[int]]:
+    """Fraction-free Gauss-Jordan: pivot column -> primitive row.
 
-    Each row is zero at the pivots of the rows before it, so a vector
-    reduced against the rows in the order found is zero at all their
-    pivots, and when nonzero it is a new row.
+    Every row is zero at the other rows' pivots, so a vector reduced
+    against the rows is zero at all their pivots; when nonzero it is a
+    new row, and the rows before it are cleared at its pivot.  There are
+    as many rows as the span's rank over the rationals.
     """
-    rows: dict[int, list[int]] = {}  # pivot column -> row
+    rows: dict[int, list[int]] = {}
     for v in vectors:
         for p, r in rows.items():
             if v[p]:
                 v = [r[p] * x - v[p] * y for x, y in zip(v, r)]
         p = next((i for i, x in enumerate(v) if x), None)
-        if p is not None:
-            g = math.gcd(*v)
-            rows[p] = [x // g for x in v]
-            if len(rows) == len(v):
-                break
-    return len(rows)
+        if p is None:
+            continue
+        g = math.gcd(*v)
+        rows[p] = v = [x // g for x in v]
+        for q, r in rows.items():
+            if q != p and r[p]:
+                r = [v[p] * x - r[p] * y for x, y in zip(r, v)]
+                g = math.gcd(*r)
+                rows[q] = [x // g for x in r]
+        if len(rows) == len(v):
+            break
+    return rows
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ class LatticeSpec:
                 raise ValueError(f"generator set not symmetric: missing -{g}")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
-        got = _span_rank(gens[: len(gens) // 2])
+        got = len(_row_reduce(gens[: len(gens) // 2]))
         if got != self.rank:
             raise ValueError(f"declared rank {self.rank}, span has rank {got}")
 
@@ -317,24 +324,6 @@ def enumerate_lengths(
     return LengthCensus(spec, K, tuple(counts))
 
 
-def _scaled_inverse(cartan: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """The least D > 0 with D C^-1 integral, and the rows of D C^-1.
-
-    Fraction-free Gauss-Jordan on [C | I] leaves row i as d_i x_i = b_i,
-    with x_i the i-th row of C^-1.
-    """
-    r = len(cartan)
-    rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(cartan)]
-    for p in range(r):
-        q = next(q for q in range(p, r) if rows[q][p])
-        rows[p], rows[q] = rows[q], rows[p]
-        for q, row in enumerate(rows):
-            if q != p and row[p]:
-                rows[q] = [rows[p][p] * x - row[p] * y for x, y in zip(row, rows[p])]
-    D = math.lcm(*(row[i] // math.gcd(*row) for i, row in enumerate(rows)))
-    return D, [[x * D // row[i] for x in row[r:]] for i, row in enumerate(rows)]
-
-
 def chamber_lengths(ltype: LatticeType, K: int) -> LengthCensus:
     """Census of a built-in irreducible type, counted on Weyl-group orbits.
 
@@ -370,7 +359,10 @@ def chamber_lengths(ltype: LatticeType, K: int) -> LengthCensus:
     highest = [m for m in roots.values() if sum(m) == top]
     if len(highest) != 1:
         raise ValueError(f"{ltype} is not irreducible: it has no single highest root")
-    D, inv = _scaled_inverse(C)
+    # C is invertible, so [C | I] reduces to rows d_i e_i | b_i, b_i / d_i row i of C^-1
+    rows = _row_reduce([row + [int(i == j) for j in range(r)] for i, row in enumerate(C)])
+    D = math.lcm(*(rows[i][i] for i in range(r)))
+    inv = [[x * D // rows[i][i] for x in rows[i][r:]] for i in range(r)]
     bound = [D * c for c in highest[0]]
     # D m is packed in one int, w bits a coordinate; no field of room[k] - D m
     # loses its top bit exactly when the point's level is at most k

@@ -857,7 +857,7 @@ def _pick_cells(
     def held(d: int, i: int) -> int:
         return at(d, i)[1] - at(d, i + 1)[1] if 0 <= i < 1 << d else 0
 
-    cells = []
+    cells, sep = [], 0  # sep: _sep_bits(c), at the first descent only
     for x in guesses:
         if not math.isfinite(x):
             return None
@@ -869,7 +869,7 @@ def _pick_cells(
             return None
         d = t
         while (k := held(d, i)) > 1:
-            _too_narrow(k, span, d, _sep_bits(c))
+            _too_narrow(k, span, d, sep := sep or _sep_bits(c))
             d += 1
             i = min(max((num << d) // den, 2 * i), 2 * i + 1)
         if held(d, i) != 1 or not at(d, i)[0] or not at(d, i + 1)[0]:

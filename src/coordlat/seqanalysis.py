@@ -251,9 +251,13 @@ def pf_minor_check(
     with nonnegative coefficients, of order-s minors on columns 0..s-1
     and rows R' <= R componentwise, so one of those is negative too; and
     0..s-1 is the smallest column set.  So the witness lies on columns
-    0..s-1 at the lowest failing order s, and it is the first negative
-    minor that order's scan meets: order 2 when log-concavity fails,
-    else the lowest order from 3 to k whose scan fails.
+    0..s-1 at the lowest failing order s, on the first rows R with a
+    negative minor: order 2's scan finds it when log-concavity fails.
+    Else s >= 3, and R avoids row 0, where an order-s minor is a_0 times
+    one of order s - 1.  A k-row set before T = (0, ..., k-s-1, R + k-s)
+    in lexicographic order shares T's first k - s rows, so its minor is
+    a_0^(k-s) times an order-s minor on rows before R, which is >= 0.
+    So the order-k scan meets T first: k - s rows 0, 1, ..., then R + k-s.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -272,16 +276,13 @@ def pf_minor_check(
         return passed
 
     if not _pf2_by_log_concavity(a):
-        order, hit = 2, _first_negative_minor(a, 2)
+        hit = _first_negative_minor(a, 2)
     elif max_order == 2 or (hit := _first_negative_minor(a, max_order)) is None:
         return passed
-    else:
-        # the order-k minors fail; report the lowest order that fails
-        order = max_order
-        for s in range(3, max_order):
-            if lower := _first_negative_minor(a, s):
-                order, hit = s, lower
-                break
     rows, det = hit
-    witness = MinorWitness(rows, tuple(range(order)), Fraction(det, L**order))
+    lead = next(i for i, v in enumerate(a) if v)
+    m = next(i for i, r in enumerate(rows) if r != lead + i)  # T's leading run
+    order = len(rows) - m
+    cols, det = tuple(range(order)), Fraction(det // a[lead] ** m, L**order)
+    witness = MinorWitness(tuple(r - m for r in rows[m:]), cols, det)
     return SequenceVerdict(passed.property, False, witness, clamped)

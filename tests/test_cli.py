@@ -240,6 +240,17 @@ def test_roots_type_d_shows_brackets(capsys):
     assert sum(1 for l in lines if l.startswith("bracket:j=")) == 3
 
 
+def test_roots_csv_refines_no_bracket(capsys, monkeypatch):
+    # the csv table holds the intervals only, so no D bracket is refined
+    calls = []
+    refine = cli.refine_bracket
+    monkeypatch.setattr(cli, "refine_bracket", lambda *a: calls.append(a) or refine(*a))
+    code, out, _ = run(capsys, "roots", "--type", "D", "--n", "12", "--format", "csv")
+    assert (code, len(out.splitlines()), calls) == (0, 13, [])
+    assert run(capsys, "roots", "--type", "D", "--n", "12")[0] == 0
+    assert len(calls) == 12
+
+
 def test_roots_rank_two_has_intervals_only(capsys):
     code, out, _ = run(capsys, "roots", "--type", "D", "--n", "2")
     assert code == 0

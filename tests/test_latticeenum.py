@@ -27,7 +27,7 @@ from coordlat.latticeenum import (
     recover_coordinator,
     save_generator_table,
 )
-from coordlat.latticeenum import _SIMPLE_ROOTS, _root_system, _span_rank
+from coordlat.latticeenum import _SIMPLE_ROOTS, _root_system, _row_reduce
 
 
 def lt(tag, n=None):
@@ -277,6 +277,26 @@ def test_orbit_count_gives_the_closed_form_series_through_rank_ten():
     assert time.perf_counter() - t0 < 3
 
 
+def test_cartan_matrices_reduce_to_their_least_scaled_inverse():
+    # chamber_lengths reads D C^-1 off [C | I]: row i is d_i e_i | b_i,
+    # primitive, so D = lcm(d_i) is the least D with D C^-1 integral
+    tables = [lt(t, n) for t in "ABC" for n in range(1, 13)] + [lt("D", n) for n in range(2, 13)]
+    for t in tables + [lt(tag) for tag in ("G2", "F4", "E6", "E7", "E8")]:
+        simple = _SIMPLE_ROOTS[t.tag](t.rank)
+        r = len(simple)
+        dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+        C = [[2 * dot(a, b) // dot(a, a) for b in simple] for a in simple]
+        rows = _row_reduce([row + [int(i == j) for j in range(r)] for i, row in enumerate(C)])
+        assert sorted(rows) == list(range(r)), t
+        assert all(rows[i][j] == 0 for i in range(r) for j in range(r) if i != j), t
+        D = math.lcm(*(rows[i][i] for i in range(r)))
+        inv = [[x * D // rows[i][i] for x in rows[i][r:]] for i in range(r)]
+        assert [[dot(row, col) for col in zip(*inv)] for row in C] == [
+            [D * (i == j) for j in range(r)] for i in range(r)
+        ], t
+        assert math.gcd(D, *(x for row in inv for x in row)) == 1, t
+
+
 def test_orbit_count_input_checks():
     with pytest.raises(ValueError, match="no single highest root"):
         chamber_lengths(lt("D", 2), 3)
@@ -369,7 +389,7 @@ def _matrices(draw):
 @given(_matrices())
 @settings(max_examples=200, deadline=None)
 def test_span_rank_matches_fraction_elimination(rows):
-    assert _span_rank(tuple(map(tuple, rows))) == _reference_span_rank(rows)
+    assert len(_row_reduce(tuple(map(tuple, rows)))) == _reference_span_rank(rows)
 
 
 def test_wrong_declared_rank_is_rejected():
@@ -387,7 +407,7 @@ def test_wrong_declared_rank_is_rejected():
 )
 def test_first_half_of_a_built_in_table_has_its_rank(t):
     g = lattice_spec(t, allow_expensive=True).generators
-    assert _span_rank(g[: len(g) // 2]) == _span_rank(g) == t.rank
+    assert len(_row_reduce(g[: len(g) // 2])) == len(_row_reduce(g)) == t.rank
 
 
 BUILT_IN = [lt(t, n) for t in "ABC" for n in range(1, 5)] + [lt("D", n) for n in range(2, 6)]
@@ -432,7 +452,7 @@ def reference_spec_checks(dim, rank, generators, scale=1):
             return f"generator set not symmetric: missing -{g}"
     if scale < 1:
         return "scale must be a positive integer"
-    got = _span_rank(gens)
+    got = len(_row_reduce(gens))
     return gens if got == rank else f"declared rank {rank}, span has rank {got}"
 
 
@@ -490,7 +510,7 @@ def test_kernel_matches_full_bfs_on_drawn_tables(spec, K):
 def test_first_half_of_a_drawn_table_has_its_rank(spec):
     # sorted, the vectors whose first nonzero entry is negative come first
     g = spec.generators
-    assert _span_rank(g[: len(g) // 2]) == _span_rank(g)
+    assert len(_row_reduce(g[: len(g) // 2])) == len(_row_reduce(g))
 
 
 @pytest.mark.parametrize("gens", [((1,), (-1,), (2,), (-2,)), ((3,), (-3,)),

@@ -500,6 +500,27 @@ def test_picking_on_an_exact_root_raises_on_a_counter_that_over_counts():
         realroots._pick_cells(c, -13, 13, 1, 64, lambda n, e, s: 2 * counter.above(n, e, s), roots)
 
 
+def test_picking_bounds_the_separation_at_most_once(monkeypatch):
+    # A100's picker descends from more than one cell at 1/1024, A36's
+    # from none; the bound is computed at the first descent only
+    seps, per_pick = [], []
+    sep_bits, pick = realroots._sep_bits, realroots._pick_cells
+    monkeypatch.setattr(realroots, "_sep_bits", lambda c: seps.append(c) or sep_bits(c))
+
+    def counted(*args):
+        start = len(seps)
+        try:
+            return pick(*args)
+        finally:
+            per_pick.append(len(seps) - start)
+
+    monkeypatch.setattr(realroots, "_pick_cells", counted)
+    for n, calls in ((100, [1]), (36, [0])):
+        per_pick.clear()
+        isolate_real_roots(coordinator(LatticeType("A", n)).poly, Fraction(1, 1024))
+        assert per_pick == calls, n
+
+
 def fractions(rungs):
     return [Fraction(p, q) for p, q in rungs]
 

@@ -360,6 +360,85 @@ def test_perturbed_products_match_brute_force_minors(pairs, index, shift):
     assert got + (v.clamped,) == brute_force_pf(seq, 3)
 
 
+def rescanning_pf(seq, max_order):
+    """(holds, rows, cols, det, clamped) by the order-k scan, then a fresh scan per order from 3.
+
+    Log-concavity sends an order-2 failure to the order-2 scan.  When the
+    order-k scan fails, every order from 3 up is scanned afresh, and the
+    first that fails gives the witness.
+    """
+    vals = [Fraction(v) for v in seq]
+    lcm = math.lcm(*(v.denominator for v in vals))
+    a = [int(v * lcm) for v in vals]
+    k = min(max_order, len(a))
+    if k < 2:
+        return True, None, None, None, k < max_order
+    if not (check_log_concave(a).holds and check_no_internal_zeros(a).holds):
+        order, hit = 2, _first_negative_minor(a, 2)
+    elif k == 2 or _first_negative_minor(a, k) is None:
+        return True, None, None, None, k < max_order
+    else:
+        order = next(s for s in range(3, k + 1) if _first_negative_minor(a, s))
+        hit = _first_negative_minor(a, order)
+    rows, det = hit
+    return False, rows, tuple(range(order)), Fraction(det, lcm**order), k < max_order
+
+
+@st.composite
+def late_failures(draw):
+    # a PF product with one entry moved by at most a tenth, so order 2
+    # mostly holds; up to 12 entries at order 5, fewer above
+    k = draw(st.integers(5, 7))
+    room = {5: 12, 6: 10, 7: 8}[k]
+    factor = st.tuples(st.integers(1, 4), st.integers(1, 4))
+    seq = _product_of_linear_factors(draw(st.lists(factor, min_size=3, max_size=room - 1)))
+    i = draw(st.integers(0, len(seq) - 1))
+    shift = draw(st.fractions(Fraction(-1, 10), Fraction(1, 10), max_denominator=40))
+    seq[i] += math.floor(shift * seq[i])
+    return k, [0] * draw(st.integers(0, 1)) + seq
+
+
+@given(late_failures())
+@settings(max_examples=40, deadline=None)
+@example((6, [1] * 6))
+@example((5, [0, 1, 4, 8, 7]))
+@example((7, [1, 4, 8, 7, 0]))
+def test_one_scan_names_the_lowest_failing_order(case):
+    k, seq = case
+    v = pf_minor_check(seq, k)
+    w = v.witness
+    got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
+    assert got + (v.clamped,) == rescanning_pf(seq, k)
+    assert v.property == f"pf_order_{min(k, len(seq))}"
+
+
+# PF5 but not PF6: its order-6 witness is embedded in the order-8 scan
+PF5 = [314928, 4408992, 28081080, 107757864, 278095275, 510623489, 685172331, 683872092,
+       509129145, 281027448, 113083641, 32132052, 6088608, 688176, 34992]
+
+
+def test_pf5_sequence_fails_at_order_six_from_every_higher_order():
+    assert pf_minor_check(PF5, 5).holds
+    det = Fraction(-69159681285456434362474194014948612028488827989)
+    for k in (6, 7, 8):
+        v = pf_minor_check(PF5, k)
+        assert (v.holds, v.property) == (False, f"pf_order_{k}")
+        assert v.witness == MinorWitness((6, 7, 8, 9, 10, 11), tuple(range(6)), det)
+
+
+def test_one_minor_scan_per_verdict(minor_calls):
+    # at orders above the lowest failing one, and on passes
+    cases = [(PF5, 8), ([1] * 8, 4), ([1, 4, 8, 7, 0], 5), ([1, 2, 2, 1, 1], 4),
+             ([1, 4, 6, 4, 1], 5), ([0, 0, 1, 1, 1, 1, 1, 1], 7)]
+    for seq, k in cases:
+        minor_calls.clear()
+        v = pf_minor_check(seq, k)
+        assert minor_calls.count("_first_negative_minor") <= 1, (seq, k)
+        w = v.witness
+        got = (v.holds,) + ((w.rows, w.cols, w.determinant) if w else (None, None, None))
+        assert got + (v.clamped,) == rescanning_pf(seq, k)
+
+
 def bareiss_det(m):
     """Fraction-free determinant of an integer matrix."""
     n = len(m)
